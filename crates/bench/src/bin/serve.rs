@@ -57,7 +57,7 @@ fn serve_system(
     let reply_bytes: usize = plan
         .calls
         .iter()
-        .filter_map(|c| c.reply_bytes.as_ref().map(Vec::len))
+        .filter_map(|c| c.reply_bytes.as_ref().map(|r| r.len()))
         .sum();
     eprintln!(
         "  {name}: plan {total} calls ({:.1} MiB calls, {:.1} MiB replies)",

@@ -14,6 +14,11 @@ use nfstrace_nfs::v3::{
     Readlink3Res, Remove3Res, Rename3Res, Reply3, Reply3Body, Setattr3Res, Write3Res,
 };
 
+/// The largest READ this server answers: the `rtmax` its FSINFO
+/// advertises. Larger requests are clamped to it, so a reply's size is
+/// bounded by the server, never by the count a call claims.
+pub const RTMAX: u32 = 32768;
+
 /// A simulated NFS server instance.
 #[derive(Debug)]
 pub struct NfsServer {
@@ -139,7 +144,7 @@ impl NfsServer {
                     Ok(id) => id,
                     Err(s) => return Reply3::error(call.proc(), s),
                 };
-                match self.fs.read(id, a.offset, a.count, now) {
+                match self.fs.read(id, a.offset, a.count.min(RTMAX), now) {
                     Ok((n, eof, _size)) => Reply3::ok(Reply3Body::Read(Read3Res {
                         file_attributes: self.attr_of(id),
                         count: n,
@@ -367,8 +372,8 @@ impl NfsServer {
             Call3::Fsinfo(a) => match self.fh_id(&a.object) {
                 Ok(id) => Reply3::ok(Reply3Body::Fsinfo(Fsinfo3Res {
                     obj_attributes: self.attr_of(id),
-                    rtmax: 32768,
-                    rtpref: 32768,
+                    rtmax: RTMAX,
+                    rtpref: RTMAX,
                     rtmult: 4096,
                     wtmax: 32768,
                     wtpref: 32768,
@@ -499,7 +504,10 @@ impl NfsServer {
                         }
                     }
                 };
-                match self.fs.read(id, u64::from(*offset), *count, now) {
+                match self
+                    .fs
+                    .read(id, u64::from(*offset), (*count).min(RTMAX), now)
+                {
                     Ok((n, _eof, _)) => Reply2::Read {
                         status: NfsStat3::Ok,
                         attributes: attr2(self, id),
@@ -818,6 +826,63 @@ mod tests {
             Reply3Body::Setattr(res) => {
                 assert_eq!(res.wcc.before.unwrap().size, 9999);
                 assert_eq!(res.wcc.after.unwrap().size, 0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Regression: READ used to size its reply by the call's `count`
+    /// alone, so after a SETATTR grew a file one call could allocate up
+    /// to 4 GiB. Both versions clamp to the advertised `rtmax`.
+    #[test]
+    fn read_is_clamped_to_advertised_rtmax() {
+        let mut s = NfsServer::new(1);
+        let root = s.root_fh();
+        let fh = create(&mut s, root.clone(), "big", 0);
+        s.handle_v3(
+            &Call3::Setattr(Setattr3Args {
+                object: fh.clone(),
+                new_attributes: Sattr3 {
+                    size: Some(1 << 40),
+                    ..Sattr3::default()
+                },
+                guard_ctime: None,
+            }),
+            1,
+        );
+        match s.handle_v3(&Call3::Fsinfo(FhArgs { object: root }), 2).body {
+            Reply3Body::Fsinfo(res) => assert_eq!(res.rtmax, RTMAX),
+            other => panic!("unexpected {other:?}"),
+        }
+        let r3 = s.handle_v3(
+            &Call3::Read(Read3Args {
+                file: fh.clone(),
+                offset: 0,
+                count: u32::MAX,
+            }),
+            3,
+        );
+        match r3.body {
+            Reply3Body::Read(res) => {
+                assert_eq!(res.count, RTMAX);
+                assert_eq!(res.data.len(), RTMAX as usize);
+                assert!(!res.eof);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let r2 = s.handle_v2(
+            &Call2::Read {
+                file: fh,
+                offset: 0,
+                count: u32::MAX,
+                totalcount: 0,
+            },
+            4,
+        );
+        match r2 {
+            Reply2::Read { status, data, .. } => {
+                assert!(status.is_ok());
+                assert_eq!(data.len(), RTMAX as usize);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -124,11 +124,16 @@ impl<'a> Frame<'a> {
     /// Serializes a frame around `payload`.
     pub fn encode(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        Self::write_header(&mut out, dst, src, ethertype);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Appends the 14-byte header to `out`; the payload follows it.
+    pub fn write_header(out: &mut Vec<u8>, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
         out.extend_from_slice(&dst.0);
         out.extend_from_slice(&src.0);
         out.extend_from_slice(&ethertype.as_u16().to_be_bytes());
-        out.extend_from_slice(payload);
-        out
     }
 }
 

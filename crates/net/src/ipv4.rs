@@ -139,7 +139,23 @@ impl<'a> Ipv4Packet<'a> {
         ident: u16,
         payload: &[u8],
     ) -> Vec<u8> {
-        let total_len = (MIN_HEADER_LEN + payload.len()) as u16;
+        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
+        Self::write_header(&mut out, src, dst, protocol, ident, payload.len());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Appends a minimal (option-free) header, checksum included, for a
+    /// packet carrying `payload_len` bytes; the payload follows it.
+    pub fn write_header(
+        out: &mut Vec<u8>,
+        src: Ipv4Addr4,
+        dst: Ipv4Addr4,
+        protocol: u8,
+        ident: u16,
+        payload_len: usize,
+    ) {
+        let total_len = (MIN_HEADER_LEN + payload_len) as u16;
         let mut hdr = [0u8; MIN_HEADER_LEN];
         hdr[0] = 0x45; // version 4, ihl 5
         hdr[1] = 0; // dscp/ecn
@@ -152,11 +168,7 @@ impl<'a> Ipv4Packet<'a> {
         hdr[16..20].copy_from_slice(&dst.octets());
         let csum = header_checksum(&hdr);
         hdr[10..12].copy_from_slice(&csum.to_be_bytes());
-
-        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
         out.extend_from_slice(&hdr);
-        out.extend_from_slice(payload);
-        out
     }
 
     /// Verifies the header checksum of a raw IPv4 header slice.

@@ -27,7 +27,7 @@
 //!     Ipv4Addr4::new(10, 0, 0, 2),
 //!     1023,
 //!     2049,
-//!     b"payload".to_vec(),
+//!     b"payload",
 //! );
 //! let decoded = nfstrace_net::packet::DecodedPacket::parse(&frame).unwrap();
 //! assert_eq!(decoded.payload, b"payload");

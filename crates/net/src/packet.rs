@@ -4,10 +4,10 @@
 //! workload simulator; [`DecodedPacket`] is the sniffer's first parsing
 //! stage, peeling the three headers off a captured frame.
 
-use crate::ethernet::{EtherType, Frame, MacAddr};
-use crate::ipv4::{Ipv4Addr4, Ipv4Packet, PROTO_TCP, PROTO_UDP};
-use crate::tcp::{TcpFlags, TcpSegment};
-use crate::udp::UdpDatagram;
+use crate::ethernet::{self, EtherType, Frame, MacAddr};
+use crate::ipv4::{self, Ipv4Addr4, Ipv4Packet, PROTO_TCP, PROTO_UDP};
+use crate::tcp::{self, TcpFlags, TcpSegment};
+use crate::udp::{self, UdpDatagram};
 use crate::Result;
 
 /// Which transport a decoded packet used.
@@ -136,13 +136,65 @@ impl<'a> PacketView<'a> {
     }
 }
 
-/// Convenience constructors for complete frames.
+/// Constructors for complete frames.
+///
+/// [`PacketBuilder::frame`] is the one frame writer: it writes the
+/// Ethernet, IPv4 and transport headers and then the payload into a
+/// single allocation, so each payload byte is copied exactly once.
+/// [`PacketBuilder::udp`] and [`PacketBuilder::tcp`] are shorthands for
+/// it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PacketBuilder;
 
 impl PacketBuilder {
-    /// Builds an Ethernet/IPv4/UDP frame.
+    /// Builds an Ethernet/IPv4/UDP-or-TCP frame whose payload is the
+    /// concatenation of `payload`'s parts.
+    ///
+    /// `Transport::Tcp` writes its `seq` and `flags` (ack 0); the bytes
+    /// are identical to layering [`UdpDatagram::encode`] or
+    /// [`TcpSegment::encode`], [`Ipv4Packet::encode`] (ident 0) and
+    /// [`Frame::encode`] over the concatenated payload.
     #[allow(clippy::too_many_arguments)]
+    pub fn frame(
+        src_mac: MacAddr,
+        dst_mac: MacAddr,
+        src_ip: Ipv4Addr4,
+        dst_ip: Ipv4Addr4,
+        src_port: u16,
+        dst_port: u16,
+        transport: Transport,
+        payload: &[&[u8]],
+    ) -> Vec<u8> {
+        let payload_len: usize = payload.iter().map(|p| p.len()).sum();
+        let (protocol, l4_header) = match transport {
+            Transport::Udp => (PROTO_UDP, udp::HEADER_LEN),
+            Transport::Tcp { .. } => (PROTO_TCP, tcp::MIN_HEADER_LEN),
+        };
+        let mut out = Vec::with_capacity(
+            ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + l4_header + payload_len,
+        );
+        Frame::write_header(&mut out, dst_mac, src_mac, EtherType::Ipv4);
+        Ipv4Packet::write_header(
+            &mut out,
+            src_ip,
+            dst_ip,
+            protocol,
+            0,
+            l4_header + payload_len,
+        );
+        match transport {
+            Transport::Udp => UdpDatagram::write_header(&mut out, src_port, dst_port, payload_len),
+            Transport::Tcp { seq, flags } => {
+                TcpSegment::write_header(&mut out, src_port, dst_port, seq, 0, TcpFlags(flags));
+            }
+        }
+        for part in payload {
+            out.extend_from_slice(part);
+        }
+        out
+    }
+
+    /// Builds an Ethernet/IPv4/UDP frame.
     pub fn udp(
         src_mac: MacAddr,
         dst_mac: MacAddr,
@@ -150,14 +202,22 @@ impl PacketBuilder {
         dst_ip: Ipv4Addr4,
         src_port: u16,
         dst_port: u16,
-        payload: Vec<u8>,
+        payload: impl AsRef<[u8]>,
     ) -> Vec<u8> {
-        let udp = UdpDatagram::encode(src_port, dst_port, &payload);
-        let ip = Ipv4Packet::encode(src_ip, dst_ip, PROTO_UDP, 0, &udp);
-        Frame::encode(dst_mac, src_mac, EtherType::Ipv4, &ip)
+        Self::frame(
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            Transport::Udp,
+            &[payload.as_ref()],
+        )
     }
 
-    /// Builds an Ethernet/IPv4/TCP frame carrying `payload` at `seq`.
+    /// Builds an Ethernet/IPv4/TCP frame (ACK|PSH) carrying `payload` at
+    /// `seq`.
     #[allow(clippy::too_many_arguments)]
     pub fn tcp(
         src_mac: MacAddr,
@@ -167,18 +227,21 @@ impl PacketBuilder {
         src_port: u16,
         dst_port: u16,
         seq: u32,
-        payload: Vec<u8>,
+        payload: impl AsRef<[u8]>,
     ) -> Vec<u8> {
-        let tcp = TcpSegment::encode(
+        Self::frame(
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
             src_port,
             dst_port,
-            seq,
-            0,
-            TcpFlags(TcpFlags::ACK | TcpFlags::PSH),
-            &payload,
-        );
-        let ip = Ipv4Packet::encode(src_ip, dst_ip, PROTO_TCP, 0, &tcp);
-        Frame::encode(dst_mac, src_mac, EtherType::Ipv4, &ip)
+            Transport::Tcp {
+                seq,
+                flags: TcpFlags::ACK | TcpFlags::PSH,
+            },
+            &[payload.as_ref()],
+        )
     }
 }
 
@@ -203,7 +266,7 @@ mod tests {
             Ipv4Addr4::new(10, 0, 0, 2),
             900,
             2049,
-            b"call".to_vec(),
+            b"call",
         );
         let d = DecodedPacket::parse(&frame).unwrap();
         assert_eq!(d.transport, Transport::Udp);
@@ -223,7 +286,7 @@ mod tests {
             700,
             2049,
             123456,
-            b"streambytes".to_vec(),
+            b"streambytes",
         );
         let d = DecodedPacket::parse(&frame).unwrap();
         match d.transport {

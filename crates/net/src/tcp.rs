@@ -100,6 +100,21 @@ impl<'a> TcpSegment<'a> {
         payload: &[u8],
     ) -> Vec<u8> {
         let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
+        Self::write_header(&mut out, src_port, dst_port, seq, ack, flags);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Appends a minimal (option-free) header to `out`; the payload
+    /// follows it.
+    pub fn write_header(
+        out: &mut Vec<u8>,
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+    ) {
         out.extend_from_slice(&src_port.to_be_bytes());
         out.extend_from_slice(&dst_port.to_be_bytes());
         out.extend_from_slice(&seq.to_be_bytes());
@@ -109,8 +124,6 @@ impl<'a> TcpSegment<'a> {
         out.extend_from_slice(&65535u16.to_be_bytes()); // window
         out.extend_from_slice(&0u16.to_be_bytes()); // checksum (not computed)
         out.extend_from_slice(&0u16.to_be_bytes()); // urgent pointer
-        out.extend_from_slice(payload);
-        out
     }
 }
 

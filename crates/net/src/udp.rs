@@ -55,14 +55,20 @@ impl<'a> UdpDatagram<'a> {
     /// Serializes a datagram around `payload` (checksum zero: legal for
     /// IPv4 UDP and what many NFS stacks of the era actually sent).
     pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-        let len = (HEADER_LEN + payload.len()) as u16;
-        let mut out = Vec::with_capacity(usize::from(len));
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        Self::write_header(&mut out, src_port, dst_port, payload.len());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Appends the 8-byte header (checksum zero) for a datagram carrying
+    /// `payload_len` bytes; the payload follows it.
+    pub fn write_header(out: &mut Vec<u8>, src_port: u16, dst_port: u16, payload_len: usize) {
+        let len = (HEADER_LEN + payload_len) as u16;
         out.extend_from_slice(&src_port.to_be_bytes());
         out.extend_from_slice(&dst_port.to_be_bytes());
         out.extend_from_slice(&len.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes());
-        out.extend_from_slice(payload);
-        out
     }
 }
 

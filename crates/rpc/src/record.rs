@@ -27,9 +27,15 @@ pub fn mark_record(msg: &[u8]) -> Vec<u8> {
 /// scratch-buffer-reusing form of [`mark_record`]. `out` is not cleared,
 /// so a stream of records can be marked into one reused buffer.
 pub fn mark_record_into(msg: &[u8], out: &mut Vec<u8>) {
-    let header = LAST_FRAGMENT | (msg.len() as u32);
-    out.extend_from_slice(&header.to_be_bytes());
+    out.extend_from_slice(&record_mark(msg.len()));
     out.extend_from_slice(msg);
+}
+
+/// The 4-byte marker that heads a single-fragment record of `len`
+/// bytes: `mark_record(msg) == record_mark(msg.len()) ‖ msg`. Lets a
+/// caller frame a record without copying the message next to it.
+pub fn record_mark(len: usize) -> [u8; 4] {
+    (LAST_FRAGMENT | (len as u32)).to_be_bytes()
 }
 
 /// Encodes one RPC message split into fragments of at most `frag_len`

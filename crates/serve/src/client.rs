@@ -4,22 +4,27 @@
 //! stay on one connection, in trace order — the invariant the server's
 //! per-`(client, xid)` reply schedule depends on), with a bounded
 //! in-flight window, configurable pacing, and timeout-driven
-//! retransmission. Everything the client actually writes to or reads
-//! from a socket is also recorded in a **tap** ([`TapEvent`]) — the
-//! message-level mirror of the server's byte stream that the capture
-//! pipeline (`crate::pipeline`) later frames into packets for the
-//! sniffer, retransmissions and duplicate replies included.
+//! retransmission. Each send burst — every call the window and the
+//! pacing clock let out at once, forced retransmissions included — is
+//! record-marked into one reused buffer and written with one `write`.
+//! Everything the client actually writes to or reads from a socket is
+//! also recorded in a **tap** ([`TapEvent`]) — the message-level mirror
+//! of the server's byte stream that the capture pipeline
+//! (`crate::pipeline`) later frames into packets for the sniffer,
+//! retransmissions and duplicate replies included. Call events share
+//! the plan's bytes; each reply is copied once, out of the read buffer.
 //!
 //! Telemetry: `replay.calls_sent`, `replay.retransmits`,
-//! `replay.rtt_micros`.
+//! `replay.writes`, `replay.rtt_micros`.
 
 use crate::plan::{PlannedCall, ReplayPlan};
-use nfstrace_rpc::record::{mark_record, RecordReader};
-use nfstrace_telemetry::Registry;
+use nfstrace_rpc::record::{mark_record_into, RecordReader};
+use nfstrace_telemetry::{Counter, Histogram, Registry};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How fast to play the trace.
@@ -81,8 +86,27 @@ pub struct TapEvent {
     pub client_ip: u32,
     /// Server address.
     pub server_ip: u32,
-    /// The raw RPC message bytes as written/read (unframed).
-    pub bytes: Vec<u8>,
+    /// The raw RPC message bytes as written/read (unframed). A call
+    /// shares its plan entry's bytes.
+    pub bytes: Arc<[u8]>,
+}
+
+impl TapEvent {
+    /// The tap event for a message of `call`'s exchange.
+    fn of(call: &PlannedCall, dir: u8, bytes: Arc<[u8]>) -> Self {
+        TapEvent {
+            idx: call.idx,
+            dir,
+            micros: if dir == 0 {
+                call.micros
+            } else {
+                call.reply_micros
+            },
+            client_ip: call.client_ip,
+            server_ip: call.server_ip,
+            bytes,
+        }
+    }
 }
 
 /// What a replay run produced.
@@ -104,6 +128,69 @@ struct Pending {
     sent_at: Instant,
 }
 
+/// Which call an arriving reply answers, per connection.
+#[derive(Default)]
+struct ReplyTracker {
+    /// Calls awaiting their first reply, per xid in send order. Empty
+    /// queues are removed: a long trace sees mostly distinct xids, and
+    /// the timeout sweep walks this map.
+    in_flight: HashMap<u32, VecDeque<Pending>>,
+    in_flight_count: usize,
+    /// Calls sent more than once, per xid: the call (index into the
+    /// connection's calls) and how many duplicate replies — the DRC
+    /// answering a retransmission — it may still draw. An entry lives
+    /// only while duplicates are outstanding, so the map is bounded by
+    /// retransmissions, not by trace length.
+    dups: HashMap<u32, (usize, u32)>,
+}
+
+impl ReplyTracker {
+    fn sent(&mut self, xid: u32, local: usize, sent_at: Instant) {
+        self.in_flight
+            .entry(xid)
+            .or_default()
+            .push_back(Pending { local, sent_at });
+        self.in_flight_count += 1;
+    }
+
+    fn retransmitted(&mut self, xid: u32, local: usize) {
+        let entry = self.dups.entry(xid).or_insert((local, 0));
+        *entry = (local, entry.1 + 1);
+    }
+
+    /// Attributes a reply to a call: the oldest in flight under its
+    /// xid (with that call's send time), else a retransmitted call
+    /// still owed a duplicate. `None` for a reply nothing can claim.
+    fn reply(&mut self, xid: u32) -> Option<(usize, Option<Instant>)> {
+        if let Some(queue) = self.in_flight.get_mut(&xid) {
+            let first = queue.pop_front();
+            if queue.is_empty() {
+                self.in_flight.remove(&xid);
+            }
+            if let Some(p) = first {
+                self.in_flight_count -= 1;
+                return Some((p.local, Some(p.sent_at)));
+            }
+        }
+        let (local, owed) = self.dups.get_mut(&xid)?;
+        let local = *local;
+        *owed -= 1;
+        if *owed == 0 {
+            self.dups.remove(&xid);
+        }
+        Some((local, None))
+    }
+}
+
+/// The replay client's registry handles.
+#[derive(Clone)]
+struct ReplayMetrics {
+    calls_sent: Counter,
+    retransmits: Counter,
+    writes: Counter,
+    rtt_micros: Histogram,
+}
+
 /// Replays `plan` against the server at `addr`.
 ///
 /// # Errors
@@ -115,9 +202,12 @@ pub fn replay(
     options: &ReplayOptions,
     registry: &Registry,
 ) -> std::io::Result<ReplayOutcome> {
-    let calls_sent = registry.counter("replay.calls_sent");
-    let retransmits = registry.counter("replay.retransmits");
-    let rtt_micros = registry.histogram("replay.rtt_micros");
+    let metrics = ReplayMetrics {
+        calls_sent: registry.counter("replay.calls_sent"),
+        retransmits: registry.counter("replay.retransmits"),
+        writes: registry.counter("replay.writes"),
+        rtt_micros: registry.histogram("replay.rtt_micros"),
+    };
 
     // Clients → connection groups, round-robin by first appearance.
     let ips = plan.client_ips();
@@ -138,19 +228,15 @@ pub fn replay(
         let workers: Vec<_> = per_group
             .iter()
             .map(|calls| {
-                let calls_sent = calls_sent.clone();
-                let retransmits = retransmits.clone();
-                let rtt_micros = rtt_micros.clone();
+                let metrics = metrics.clone();
                 scope.spawn(move || {
                     run_connection(
                         calls,
                         addr,
                         options,
-                        first_micros,
-                        start,
-                        &calls_sent,
-                        &retransmits,
-                        &rtt_micros,
+                        (first_micros, start),
+                        &metrics,
+                        &mut ReplyTracker::default(),
                     )
                 })
             })
@@ -171,19 +257,29 @@ pub fn replay(
     Ok(merged)
 }
 
-/// The per-connection replay loop: window-bounded sends, reply
+/// Writes a framed burst, if there is one, as a single socket write.
+fn write_burst(stream: &mut TcpStream, out: &mut Vec<u8>, writes: &Counter) -> std::io::Result<()> {
+    if !out.is_empty() {
+        stream.write_all(out)?;
+        writes.inc();
+        out.clear();
+    }
+    Ok(())
+}
+
+/// The per-connection replay loop: window-bounded send bursts, reply
 /// matching by `(xid → oldest in-flight)`, timeout retransmission.
-#[allow(clippy::too_many_arguments)]
+/// `clock` pairs the trace time of the plan's first call with the
+/// wall-clock start of the replay, for trace-timestamp pacing.
 fn run_connection(
     calls: &[&PlannedCall],
     addr: SocketAddr,
     options: &ReplayOptions,
-    first_micros: u64,
-    start: Instant,
-    calls_sent: &nfstrace_telemetry::Counter,
-    retransmits: &nfstrace_telemetry::Counter,
-    rtt_micros: &nfstrace_telemetry::Histogram,
+    clock: (u64, Instant),
+    metrics: &ReplayMetrics,
+    tracker: &mut ReplyTracker,
 ) -> std::io::Result<ReplayOutcome> {
+    let (first_micros, start) = clock;
     let mut outcome = ReplayOutcome::default();
     if calls.is_empty() {
         return Ok(outcome);
@@ -195,16 +291,15 @@ fn run_connection(
     let mut reader = RecordReader::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut cursor = 0usize;
-    let mut in_flight: HashMap<u32, VecDeque<Pending>> = HashMap::new();
-    let mut in_flight_count = 0usize;
-    // Last completed call (index into `calls`) per xid: tags duplicate
-    // replies (the DRC answering a retransmission) with the call they
-    // duplicate.
-    let mut last_done: HashMap<u32, usize> = HashMap::new();
+    // The framed burst, and the (xid, call) pairs it puts in flight or
+    // retransmits; both reused across bursts.
+    let mut out = Vec::new();
+    let mut burst: Vec<(u32, usize)> = Vec::new();
 
-    while cursor < calls.len() || in_flight_count > 0 {
-        // Send while the window and the pacing clock allow.
-        while cursor < calls.len() && in_flight_count < options.window {
+    while cursor < calls.len() || tracker.in_flight_count > 0 {
+        // Frame a burst: every call the window and pacing clock allow.
+        let first = cursor;
+        while cursor < calls.len() && tracker.in_flight_count + burst.len() < options.window {
             let call = calls[cursor];
             if let Pacing::Timescale { speedup } = options.pacing {
                 let due_micros = (call.micros.saturating_sub(first_micros)) as f64
@@ -213,41 +308,38 @@ fn run_connection(
                     break;
                 }
             }
-            let framed = mark_record(&call.call_bytes);
-            stream.write_all(&framed)?;
-            calls_sent.inc();
-            outcome.tap.push(TapEvent {
-                idx: call.idx,
-                dir: 0,
-                micros: call.micros,
-                client_ip: call.client_ip,
-                server_ip: call.server_ip,
-                bytes: call.call_bytes.clone(),
-            });
-            if call.reply_bytes.is_some() {
-                in_flight.entry(call.xid).or_default().push_back(Pending {
-                    local: cursor,
-                    sent_at: Instant::now(),
-                });
-                in_flight_count += 1;
+            mark_record_into(&call.call_bytes, &mut out);
+            outcome
+                .tap
+                .push(TapEvent::of(call, 0, Arc::clone(&call.call_bytes)));
+            let expects_reply = call.reply_bytes.is_some();
+            if expects_reply {
+                burst.push((call.xid, cursor));
             }
             if let Some(every) = options.forced_retransmit_every {
                 if every > 0 && (cursor + 1).is_multiple_of(every) {
-                    stream.write_all(&framed)?;
-                    retransmits.inc();
+                    mark_record_into(&call.call_bytes, &mut out);
+                    metrics.retransmits.inc();
                     outcome.retransmits += 1;
-                    outcome.tap.push(TapEvent {
-                        idx: call.idx,
-                        dir: 0,
-                        micros: call.micros,
-                        client_ip: call.client_ip,
-                        server_ip: call.server_ip,
-                        bytes: call.call_bytes.clone(),
-                    });
+                    outcome
+                        .tap
+                        .push(TapEvent::of(call, 0, Arc::clone(&call.call_bytes)));
+                    if expects_reply {
+                        tracker.retransmitted(call.xid, cursor);
+                    }
                 }
             }
             cursor += 1;
         }
+        write_burst(&mut stream, &mut out, &metrics.writes)?;
+        // Stamp the burst's calls once it is on the wire.
+        let sent_at = Instant::now();
+        for (xid, local) in burst.drain(..) {
+            tracker.sent(xid, local, sent_at);
+        }
+        let sent = (cursor - first) as u64;
+        metrics.calls_sent.add(sent);
+        outcome.calls_sent += sent;
 
         // Drain replies.
         let mut idle = false;
@@ -261,39 +353,27 @@ fn run_connection(
             Ok(n) => {
                 reader.push(&buf[..n]);
                 while let Some(reply) = reader
-                    .next_record()
+                    .next_record_ref()
                     .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?
                 {
-                    let xid = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-                    let completed = in_flight
-                        .get_mut(&xid)
-                        .and_then(|q| q.pop_front())
-                        .map(|p| {
-                            in_flight_count -= 1;
-                            rtt_micros.record(p.sent_at.elapsed().as_micros() as u64);
-                            p.local
-                        })
-                        .or_else(|| last_done.get(&xid).copied());
-                    // Empty queues must go: a long trace sees mostly
-                    // distinct xids, and the timeout sweep below walks
-                    // this map.
-                    if in_flight.get(&xid).is_some_and(VecDeque::is_empty) {
-                        in_flight.remove(&xid);
+                    // A reply we can't attribute (too short for an xid,
+                    // or no call claims it) is dropped from the tap:
+                    // nothing to anchor it to.
+                    let Some(xid) = reply.bytes.first_chunk().map(|x| u32::from_be_bytes(*x))
+                    else {
+                        continue;
+                    };
+                    let Some((local, sent_at)) = tracker.reply(xid) else {
+                        continue;
+                    };
+                    if let Some(sent_at) = sent_at {
+                        metrics
+                            .rtt_micros
+                            .record(sent_at.elapsed().as_micros() as u64);
                     }
-                    // A reply we can't attribute (no such xid ever) is
-                    // dropped from the tap: nothing to anchor it to.
-                    if let Some(local) = completed {
-                        let call = calls[local];
-                        last_done.insert(xid, local);
-                        outcome.tap.push(TapEvent {
-                            idx: call.idx,
-                            dir: 1,
-                            micros: call.reply_micros,
-                            client_ip: call.client_ip,
-                            server_ip: call.server_ip,
-                            bytes: reply.clone(),
-                        });
-                    }
+                    outcome
+                        .tap
+                        .push(TapEvent::of(calls[local], 1, Arc::from(reply.bytes)));
                 }
             }
             Err(e)
@@ -308,34 +388,131 @@ fn run_connection(
 
         // Timeout-driven retransmission — only worth sweeping when the
         // connection went quiet (while replies flow, nothing in a
-        // seconds-deep window can have expired).
+        // seconds-deep window can have expired). Expired calls go out
+        // as one burst and are re-stamped once it is written.
         if idle {
-            for queue in in_flight.values_mut() {
-                for pending in queue.iter_mut() {
+            for (&xid, queue) in &tracker.in_flight {
+                for pending in queue {
                     if pending.sent_at.elapsed() >= options.timeout {
                         let call = calls[pending.local];
-                        stream.write_all(&mark_record(&call.call_bytes))?;
-                        pending.sent_at = Instant::now();
-                        retransmits.inc();
+                        mark_record_into(&call.call_bytes, &mut out);
+                        metrics.retransmits.inc();
                         outcome.retransmits += 1;
-                        outcome.tap.push(TapEvent {
-                            idx: call.idx,
-                            dir: 0,
-                            micros: call.micros,
-                            client_ip: call.client_ip,
-                            server_ip: call.server_ip,
-                            bytes: call.call_bytes.clone(),
-                        });
+                        outcome
+                            .tap
+                            .push(TapEvent::of(call, 0, Arc::clone(&call.call_bytes)));
+                        burst.push((xid, pending.local));
                     }
                 }
             }
+            write_burst(&mut stream, &mut out, &metrics.writes)?;
+            let sent_at = Instant::now();
+            for (xid, local) in burst.drain(..) {
+                if let Some(p) = tracker
+                    .in_flight
+                    .get_mut(&xid)
+                    .and_then(|q| q.iter_mut().find(|p| p.local == local))
+                {
+                    p.sent_at = sent_at;
+                }
+                tracker.retransmitted(xid, local);
+            }
         }
     }
-    outcome.calls_sent = outcome
-        .tap
-        .iter()
-        .filter(|e| e.dir == 0)
-        .count()
-        .saturating_sub(outcome.retransmits as usize) as u64;
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::NfsTcpServer;
+    use crate::service::{NfsService, ReplayService};
+    use nfstrace_core::record::{FileId, Op, TraceRecord};
+
+    /// One client's calls, every xid used three times over.
+    fn plan() -> ReplayPlan {
+        let records: Vec<TraceRecord> = (0..300u32)
+            .map(|i| {
+                let mut r = TraceRecord::new(u64::from(i), Op::Getattr, FileId(2));
+                r.client = 9;
+                r.xid = i % 100;
+                r.reply_micros = u64::from(i) + 1;
+                r.post_size = Some(u64::from(i));
+                r.ftype = Some(1);
+                r
+            })
+            .collect();
+        ReplayPlan::from_records(&records)
+    }
+
+    /// Replays the plan on one connection; returns its outcome and the
+    /// reply tracker left behind.
+    fn run(options: &ReplayOptions) -> (ReplayOutcome, ReplyTracker, u64) {
+        let plan = plan();
+        let registry = Registry::new();
+        let service = Arc::new(ReplayService::new(&plan, 1));
+        let mut server =
+            NfsTcpServer::spawn(Arc::clone(&service) as Arc<dyn NfsService>, &registry).unwrap();
+        let calls: Vec<&PlannedCall> = plan.calls.iter().collect();
+        let metrics = ReplayMetrics {
+            calls_sent: registry.counter("replay.calls_sent"),
+            retransmits: registry.counter("replay.retransmits"),
+            writes: registry.counter("replay.writes"),
+            rtt_micros: registry.histogram("replay.rtt_micros"),
+        };
+        let mut tracker = ReplyTracker::default();
+        let outcome = run_connection(
+            &calls,
+            server.addr(),
+            options,
+            (0, Instant::now()),
+            &metrics,
+            &mut tracker,
+        )
+        .unwrap();
+        server.shutdown();
+        assert_eq!(service.unplanned_calls(), 0);
+        (outcome, tracker, metrics.writes.value())
+    }
+
+    #[test]
+    fn reply_tracking_holds_nothing_after_a_retransmit_free_replay() {
+        let (outcome, tracker, writes) = run(&ReplayOptions::default());
+        assert_eq!(outcome.calls_sent, 300);
+        assert_eq!(outcome.retransmits, 0);
+        assert_eq!(outcome.tap.iter().filter(|e| e.dir == 1).count(), 300);
+        assert!(tracker.in_flight.is_empty());
+        assert!(
+            tracker.dups.is_empty(),
+            "duplicate tracking must not grow with the trace"
+        );
+        assert!(
+            writes <= 300 / 4,
+            "sends are coalesced into bursts ({writes} writes)"
+        );
+    }
+
+    #[test]
+    fn duplicate_replies_are_attributed_and_then_forgotten() {
+        let (outcome, tracker, _) = run(&ReplayOptions {
+            forced_retransmit_every: Some(7),
+            ..ReplayOptions::default()
+        });
+        assert_eq!(outcome.calls_sent, 300);
+        assert_eq!(outcome.retransmits, 300 / 7);
+        // Every duplicate reply is tapped under the call it answers;
+        // only the final call's duplicate can still be on the wire when
+        // the replay ends.
+        let replies = outcome.tap.iter().filter(|e| e.dir == 1).count();
+        assert!(
+            (300 + 300 / 7 - 1..=300 + 300 / 7).contains(&replies),
+            "{replies} replies tapped"
+        );
+        assert!(tracker.in_flight.is_empty());
+        assert!(
+            tracker.dups.len() <= 1,
+            "{} entries left",
+            tracker.dups.len()
+        );
+    }
 }

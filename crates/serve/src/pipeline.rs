@@ -36,14 +36,18 @@ const PACKETS_PER_BATCH: usize = 512;
 /// — each call immediately followed by its reply, retransmissions and
 /// duplicates in place — then record-marked, MSS-chunked, and
 /// timestamped with the trace clock.
-pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
+///
+/// Lazy: the events are ordered up front, but each message is framed
+/// only when the iterator reaches it, so a consumer that streams the
+/// frames (as [`serve_roundtrip`] does) never holds more than one
+/// message's packets.
+pub fn tap_to_packets(tap: &[TapEvent]) -> impl Iterator<Item = CapturedPacket> + '_ {
     let mut ordered: Vec<&TapEvent> = tap.iter().collect();
     ordered.sort_by_key(|e| (e.idx, e.dir));
     let mut enc = WireEncoder::tcp_jumbo();
-    let mut out = Vec::new();
-    for e in ordered {
+    ordered.into_iter().flat_map(move |e| {
         let cport = WireEncoder::client_port(e.client_ip);
-        let pkts = if e.dir == 0 {
+        if e.dir == 0 {
             enc.encode_message(
                 e.micros,
                 e.client_ip,
@@ -61,10 +65,8 @@ pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
                 cport,
                 &e.bytes,
             )
-        };
-        out.extend(pkts);
-    }
-    out
+        }
+    })
 }
 
 /// What one full serve → capture → ingest pass produced.
@@ -104,20 +106,23 @@ pub fn serve_roundtrip(
     let replay_outcome = replay(plan, server.addr(), options, registry)?;
     server.shutdown();
 
-    // Mirror the tap into the capture path, then sniff + ingest.
+    // Stream the tap through the mirror port into the sniffer and the
+    // ingest: frames are built, offered, sniffed and dropped one batch
+    // at a time, never materialized as a whole capture.
     let mut mirror = MirrorPort::new(MirrorConfig::lossless());
-    let packets: Vec<CapturedPacket> = tap_to_packets(&replay_outcome.tap)
-        .into_iter()
-        .filter(|p| mirror.offer(p.timestamp_micros, p.data.len()) == MirrorVerdict::Forwarded)
-        .collect();
-    let mut source = SnifferSource::new(packets.into_iter(), PACKETS_PER_BATCH);
+    let packets = tap_to_packets(&replay_outcome.tap)
+        .filter(|p| mirror.offer(p.timestamp_micros, p.data.len()) == MirrorVerdict::Forwarded);
+    let mut source = SnifferSource::new(packets, PACKETS_PER_BATCH);
     let mut ingest = LiveIngest::create(LiveConfig::new(dir).with_registry(registry))?;
     ingest.run(&mut source)?;
     let summary = ingest.finish()?;
+    let sniffer = source.stats();
+    // Ends the frames' borrow of the tap and the mirror port.
+    drop(source);
     Ok(RoundtripOutcome {
         replay: replay_outcome,
         summary,
-        sniffer: source.stats(),
+        sniffer,
         mirror: mirror.stats(),
         unplanned_calls: service.unplanned_calls(),
     })

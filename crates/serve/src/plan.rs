@@ -17,6 +17,11 @@ use nfstrace_core::record::TraceRecord;
 use nfstrace_xdr::Pack;
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// Per `(client, xid)`, the planned replies in call order (`None` for a
+/// lost reply); see [`ReplayPlan::reply_schedule`].
+pub type ReplySchedule = HashMap<(u32, u32), VecDeque<Option<Arc<[u8]>>>>;
 
 /// One trace record, compiled to wire form.
 #[derive(Debug, Clone)]
@@ -33,11 +38,13 @@ pub struct PlannedCall {
     pub micros: u64,
     /// Trace-clock time of the reply (0 if the trace lost it).
     pub reply_micros: u64,
-    /// The full encoded RPC call message (unframed).
-    pub call_bytes: Vec<u8>,
+    /// The full encoded RPC call message (unframed). Shared, not
+    /// copied, by the client's sends and its tap.
+    pub call_bytes: Arc<[u8]>,
     /// The full encoded RPC reply message; `None` replays a lost
-    /// reply (the server stays silent).
-    pub reply_bytes: Option<Vec<u8>>,
+    /// reply (the server stays silent). Shared, not copied, by the
+    /// server's reply schedule and its duplicate-request cache.
+    pub reply_bytes: Option<Arc<[u8]>>,
 }
 
 /// A whole trace, compiled for replay.
@@ -74,8 +81,8 @@ impl ReplayPlan {
             xid: r.xid,
             micros: r.micros,
             reply_micros: r.reply_micros,
-            call_bytes: call.to_xdr_bytes(),
-            reply_bytes: reply.map(|m| m.to_xdr_bytes()),
+            call_bytes: call.to_xdr_bytes().into(),
+            reply_bytes: reply.map(|m| m.to_xdr_bytes().into()),
         });
     }
 
@@ -84,9 +91,10 @@ impl ReplayPlan {
     /// a long trace reuses XIDs; calls for one client arrive on one
     /// connection in plan order, so FIFO pop pairs them correctly.
     /// `None` entries (lost replies) are kept so a reused XID behind a
-    /// lost reply still lines up.
-    pub fn reply_schedule(&self) -> HashMap<(u32, u32), VecDeque<Option<Vec<u8>>>> {
-        let mut map: HashMap<(u32, u32), VecDeque<Option<Vec<u8>>>> = HashMap::new();
+    /// lost reply still lines up. The entries are refcounts on the
+    /// plan's reply bytes, not copies.
+    pub fn reply_schedule(&self) -> ReplySchedule {
+        let mut map = ReplySchedule::new();
         for c in &self.calls {
             map.entry((c.client_ip, c.xid))
                 .or_default()

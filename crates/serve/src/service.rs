@@ -27,7 +27,7 @@ use nfstrace_rpc::{MsgBodyView, RpcMessage, RpcMessageView, PROG_NFS};
 use nfstrace_xdr::Pack;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Maps one inbound RPC record to at most one outbound RPC record.
 ///
@@ -102,13 +102,14 @@ impl NfsService for FsService {
     }
 }
 
-/// Replay state for one `(client, xid)` key.
+/// Replay state for one `(client, xid)` key. Both fields hold
+/// refcounts on the plan's reply bytes.
 #[derive(Debug, Default)]
 struct XidState {
     /// Planned replies not yet served, in call order.
-    pending: VecDeque<Option<Vec<u8>>>,
+    pending: VecDeque<Option<Arc<[u8]>>>,
     /// The last reply served — what a retransmitted call gets.
-    last: Option<Vec<u8>>,
+    last: Option<Arc<[u8]>>,
 }
 
 /// A trace-faithful responder: planned reply bytes plus a DRC.
@@ -172,28 +173,32 @@ impl NfsService for ReplayService {
         };
         let client_ip = call
             .cred
-            .to_owned()
-            .as_unix()
-            .and_then(|u| u.ok())
-            .and_then(|u| client_ip_of_machine_name(&u.machine_name));
-        if let Some(client_ip) = client_ip {
+            .unix_machine_name()
+            .and_then(client_ip_of_machine_name);
+        // Only a refcount is taken under the lock; the one copy the
+        // trait's owned reply needs happens after it is released.
+        let answer = client_ip.and_then(|client_ip| {
             let mut states = self.lock_states();
-            if let Some(state) = states.get_mut(&(client_ip, xid)) {
-                if let Some(planned) = state.pending.pop_front() {
-                    // The next planned call for this key: serve its
-                    // reply (or planned silence) and remember it.
+            let state = states.get_mut(&(client_ip, xid))?;
+            match state.pending.pop_front() {
+                // The next planned call for this key: serve its reply
+                // (or planned silence) and remember it.
+                Some(planned) => {
                     state.last.clone_from(&planned);
-                    return planned;
+                    Some(planned)
                 }
-                if state.last.is_some() {
-                    // Schedule exhausted: a retransmission. The DRC
-                    // answers with the same bytes as last time.
-                    return state.last.clone();
-                }
+                // Schedule exhausted: a retransmission. The DRC
+                // answers with the same bytes as last time.
+                None => state.last.clone().map(Some),
+            }
+        });
+        match answer {
+            Some(reply) => reply.map(|bytes| bytes.to_vec()),
+            None => {
+                self.unplanned.fetch_add(1, Ordering::Relaxed);
+                self.fallback.serve(call_msg)
             }
         }
-        self.unplanned.fetch_add(1, Ordering::Relaxed);
-        self.fallback.serve(call_msg)
     }
 }
 
@@ -221,9 +226,9 @@ mod tests {
         let call1 = plan.calls[1].call_bytes.clone();
 
         let r0 = service.serve(&call0).expect("first planned reply");
-        assert_eq!(Some(&r0), plan.calls[0].reply_bytes.as_ref());
+        assert_eq!(Some(&r0[..]), plan.calls[0].reply_bytes.as_deref());
         let r1 = service.serve(&call1).expect("second planned reply");
-        assert_eq!(Some(&r1), plan.calls[1].reply_bytes.as_ref());
+        assert_eq!(Some(&r1[..]), plan.calls[1].reply_bytes.as_deref());
         assert_ne!(r0, r1, "distinct planned replies");
 
         // Schedule exhausted: any further copy of the call is a

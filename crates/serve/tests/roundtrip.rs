@@ -54,10 +54,10 @@ fn wire_normalized(records: &[TraceRecord]) -> Vec<TraceRecord> {
 
 fn assert_reverse_lemma(records: Vec<TraceRecord>) {
     let plan = ReplayPlan::from_records(&records);
-    let packets = tap_to_packets(&tap_of_plan(&plan));
+    let tap = tap_of_plan(&plan);
     let mut sniffer = Sniffer::new();
-    for p in &packets {
-        sniffer.observe(p);
+    for p in tap_to_packets(&tap) {
+        sniffer.observe(&p);
     }
     let (sniffed, stats) = sniffer.finish();
     assert_eq!(stats.calls, records.len() as u64);

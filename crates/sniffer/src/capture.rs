@@ -872,8 +872,7 @@ mod tests {
         let mut seq = 1_u32 + (r0.len() + lost.len()) as u32;
         for chunk in tail.chunks(1448) {
             ts += 1;
-            let frame =
-                PacketBuilder::tcp(cmac, smac, client, server, sport, 2049, seq, chunk.to_vec());
+            let frame = PacketBuilder::tcp(cmac, smac, client, server, sport, 2049, seq, chunk);
             s.observe_frame(ts, &frame);
             seq = seq.wrapping_add(chunk.len() as u32);
         }
@@ -914,7 +913,7 @@ mod tests {
             Ipv4Addr4::new(2, 2, 2, 2),
             53,
             53,
-            b"dns".to_vec(),
+            b"dns",
         );
         let mut s = Sniffer::new();
         s.observe_frame(0, &frame);

@@ -12,12 +12,13 @@
 use nfstrace_client::EmittedCall;
 use nfstrace_net::ethernet::MacAddr;
 use nfstrace_net::ipv4::Ipv4Addr4;
-use nfstrace_net::packet::PacketBuilder;
+use nfstrace_net::packet::{PacketBuilder, Transport};
 use nfstrace_net::pcap::CapturedPacket;
+use nfstrace_net::tcp::TcpFlags;
 use nfstrace_nfs::v2::{Call2, DirOpArgs2, Reply2, Sattr2};
 use nfstrace_nfs::v3::{Call3, Reply3, Reply3Body};
 use nfstrace_rpc::auth::{AuthUnix, OpaqueAuth};
-use nfstrace_rpc::record::mark_record;
+use nfstrace_rpc::record::record_mark;
 use nfstrace_rpc::{RpcMessage, PROG_NFS};
 use nfstrace_telemetry::{Counter, Registry};
 use nfstrace_xdr::Pack;
@@ -222,29 +223,39 @@ impl WireEncoder {
         let dmac = Self::mac_of(dst_ip);
         match self.mode {
             TransportMode::Udp => {
-                let frame = PacketBuilder::udp(smac, dmac, src, dst, sport, dport, msg.to_vec());
+                let frame = PacketBuilder::udp(smac, dmac, src, dst, sport, dport, msg);
                 vec![CapturedPacket::new(ts, frame)]
             }
             TransportMode::Tcp { mss } => {
-                let stream = mark_record(msg);
+                // The stream is `mark ‖ msg`; each segment's frame is
+                // built straight from its slice of the two, so every
+                // message byte is copied once, into its frame.
+                let mark = record_mark(msg.len());
+                let stream_len = mark.len() + msg.len();
                 let key = (src_ip, dst_ip, sport, dport);
                 let seq = self.seq.entry(key).or_insert(self.initial_seq);
-                let mut pkts = Vec::new();
-                for (i, chunk) in stream.chunks(mss).enumerate() {
-                    let frame = PacketBuilder::tcp(
+                let mut pkts = Vec::with_capacity(stream_len.div_ceil(mss));
+                for (i, start) in (0..stream_len).step_by(mss).enumerate() {
+                    let end = (start + mss).min(stream_len);
+                    let head = &mark[start.min(4)..end.min(4)];
+                    let body = &msg[start.max(4) - 4..end.max(4) - 4];
+                    let frame = PacketBuilder::frame(
                         smac,
                         dmac,
                         src,
                         dst,
                         sport,
                         dport,
-                        *seq,
-                        chunk.to_vec(),
+                        Transport::Tcp {
+                            seq: *seq,
+                            flags: TcpFlags::ACK | TcpFlags::PSH,
+                        },
+                        &[head, body],
                     );
                     // Segments of one message share the capture tick but
                     // stay ordered.
                     pkts.push(CapturedPacket::new(ts + i as u64, frame));
-                    *seq = seq.wrapping_add(chunk.len() as u32);
+                    *seq = seq.wrapping_add((end - start) as u32);
                 }
                 pkts
             }
@@ -528,6 +539,78 @@ mod tests {
         let server_to_client: Vec<&DecodedPacket> =
             decoded.iter().filter(|d| d.src_port == 2049).collect();
         assert!(server_to_client.len() >= 3);
+    }
+
+    /// The frames the layered composition gives: `mark_record`, MSS
+    /// chunks, then one encoder per layer, each copying the payload.
+    fn layered_frames(
+        mode: TransportMode,
+        seq: &mut u32,
+        ts: u64,
+        (src_ip, dst_ip, sport, dport): (u32, u32, u16, u16),
+        msg: &[u8],
+    ) -> Vec<CapturedPacket> {
+        use nfstrace_net::ethernet::{EtherType, Frame};
+        use nfstrace_net::ipv4::{Ipv4Packet, PROTO_TCP, PROTO_UDP};
+        use nfstrace_net::tcp::TcpSegment;
+        use nfstrace_net::udp::UdpDatagram;
+        let (src, dst) = (Ipv4Addr4::from_u32(src_ip), Ipv4Addr4::from_u32(dst_ip));
+        let (smac, dmac) = (WireEncoder::mac_of(src_ip), WireEncoder::mac_of(dst_ip));
+        let frame = |proto, l4: Vec<u8>| {
+            let ip = Ipv4Packet::encode(src, dst, proto, 0, &l4);
+            Frame::encode(dmac, smac, EtherType::Ipv4, &ip)
+        };
+        match mode {
+            TransportMode::Udp => vec![CapturedPacket::new(
+                ts,
+                frame(PROTO_UDP, UdpDatagram::encode(sport, dport, msg)),
+            )],
+            TransportMode::Tcp { mss } => nfstrace_rpc::record::mark_record(msg)
+                .chunks(mss)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    let flags = TcpFlags(TcpFlags::ACK | TcpFlags::PSH);
+                    let tcp = TcpSegment::encode(sport, dport, *seq, 0, flags, chunk);
+                    *seq = seq.wrapping_add(chunk.len() as u32);
+                    CapturedPacket::new(ts + i as u64, frame(PROTO_TCP, tcp))
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn encode_message_matches_the_layered_composition() {
+        let mss = 1448;
+        let mut lens = vec![0, 1, 3, 4, 5];
+        lens.extend(mss - 4..=mss + 1);
+        lens.extend([2 * mss - 4, 2 * mss + 3, 5 * mss + 17]);
+        let flow = (0x0a00_0001, 0x0a00_0002, 777, 2049);
+        // Start close enough to the top that the flow's sequence
+        // numbers cross `u32::MAX` part-way through.
+        let initial = u32::MAX - 3 * mss as u32;
+        for (mut enc, mode) in [
+            (WireEncoder::udp(), TransportMode::Udp),
+            (
+                WireEncoder::tcp_standard().with_initial_seq(initial),
+                TransportMode::Tcp { mss },
+            ),
+        ] {
+            let mut seq = initial;
+            let mut wrapped = false;
+            for (n, &len) in lens.iter().enumerate() {
+                let msg: Vec<u8> = (0..len).map(|i| (i * 7 + n) as u8).collect();
+                let ts = 1_000 * n as u64;
+                let before = seq;
+                let want = layered_frames(mode, &mut seq, ts, flow, &msg);
+                wrapped |= seq < before;
+                let (src, dst, sport, dport) = flow;
+                let got = enc.encode_message(ts, src, dst, sport, dport, &msg);
+                assert_eq!(got, want, "{mode:?}, message length {len}");
+            }
+            if mode != TransportMode::Udp {
+                assert!(wrapped, "the sequence space must wrap during the test");
+            }
+        }
     }
 
     #[test]
