@@ -1,24 +1,21 @@
-//! End-to-end pipeline benchmarks: workload generation, wire encoding,
-//! sniffing, anonymization throughput, and the indexed-vs-legacy
+//! Pipeline stage microbenchmarks: workload generation, wire encoding,
+//! sniffing and capture (with and without a shared, exported telemetry
+//! registry), anonymization throughput, and the indexed-vs-legacy
 //! analysis comparison.
 //!
-//! Besides the usual stdout report, this bench emits
-//! `BENCH_pipeline.json` at the repository root so indexed-vs-legacy
-//! wall-clock is tracked across PRs (the CI smoke job runs
-//! `cargo bench --bench pipeline`). The JSON also carries the
-//! hand-recorded `repro` wall-clock measurements around the TraceIndex
-//! refactor, which the ≥2x acceptance bar refers to.
+//! The end-to-end loops — in-memory `repro`, store/live ingest, and the
+//! serve loop — are timed at seconds-long scale, with gates, by the
+//! repository benchmark (`BENCHMARK.json`, `perfbench/README.md`).
 
-use criterion::{criterion_group, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nfstrace_anonymize::{Anonymizer, AnonymizerConfig};
-use nfstrace_bench::tables;
-use nfstrace_core::index::{TraceIndex, TraceView};
+use nfstrace_bench::{pipeline, scenarios, tables};
+use nfstrace_core::index::TraceIndex;
 use nfstrace_core::record::TraceRecord;
-use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest, SlicedWorkloadSource};
-use nfstrace_serve::{serve_roundtrip, ReplayOptions, ReplayPlan};
 use nfstrace_sniffer::{Sniffer, WireEncoder};
-use nfstrace_store::{StoreConfig, StoreIndex, StoreWriter};
-use nfstrace_workload::{CampusConfig, CampusWorkload, EecsConfig, EecsWorkload, SlicedWorkload};
+use nfstrace_telemetry::Registry;
+use nfstrace_workload::{CampusConfig, CampusWorkload, EecsConfig, EecsWorkload};
+use std::time::Duration;
 
 fn bench_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("generate");
@@ -84,8 +81,7 @@ fn bench_sniffer(c: &mut Criterion) {
     g.finish();
 }
 
-/// The synthetic multi-client capture behind both the criterion group
-/// and the JSON capture numbers: 8 clients against one server, each
+/// The synthetic multi-client capture: 8 clients against one server, each
 /// creating a file, writing 4 MiB, reading it back, and removing it —
 /// metadata and data traffic mixed over standard-MSS TCP, so the
 /// sniffer's reassembly, record-marking, and zero-copy decode paths
@@ -136,7 +132,26 @@ fn bench_capture(c: &mut Criterion) {
             s.finish()
         })
     });
+    // Telemetry overhead: the same corpus counting into one shared
+    // registry while an exporter samples it at a daemon's 1 s cadence
+    // (the plain variant above counts into private registries nobody
+    // reads). The budget is < 2% over plain.
+    let registry = Registry::new();
+    let dir = std::env::temp_dir().join(format!("nfstrace-bench-capture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("exporter dir");
+    let jsonl = dir.join("capture.jsonl");
+    let exporter = pipeline::start_exporter(&registry, &jsonl, Duration::from_secs(1))
+        .expect("start exporter");
+    g.bench_function("tcp_multi_client_shared_registry_exported", |b| {
+        b.iter(|| {
+            let mut s = Sniffer::with_registry(&registry);
+            s.observe_batch(&packets);
+            s.finish()
+        })
+    });
     g.finish();
+    exporter.stop().expect("stop exporter");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_anonymize(c: &mut Criterion) {
@@ -158,12 +173,9 @@ fn bench_anonymize(c: &mut Criterion) {
     g.finish();
 }
 
-/// The artifact set every analysis path drives (the lifetime-window
+/// The artifact set both analysis shapes drive (the lifetime-window
 /// artifacts need 8-day traces and are exercised by `repro` itself).
-/// One source of truth: the legacy, indexed, and store measurements
-/// all instantiate this list, so the tracked speedup ratios always
-/// compare identical work.
-fn artifacts<V: TraceView>() -> [fn(&V, &V) -> usize; 9] {
+fn artifacts() -> [fn(&TraceIndex, &TraceIndex) -> usize; 9] {
     [
         |c, e| tables::table1(c, e).text.len(),
         |c, e| tables::table2(c, e).text.len(),
@@ -177,31 +189,26 @@ fn artifacts<V: TraceView>() -> [fn(&V, &V) -> usize; 9] {
     ]
 }
 
-/// Runs every artifact against one shared index pair — generic, so the
-/// in-memory and store-backed measurements drive identical code.
-fn run_artifacts<V: TraceView>(campus: &V, eecs: &V) -> usize {
-    artifacts::<V>().iter().map(|f| f(campus, eecs)).sum()
-}
-
-/// The day-long comparison workloads. Criterion and the JSON tracker
-/// must measure the *same* scenario, so both get it from here.
-fn analysis_campus() -> CampusWorkload {
+/// The day-long comparison workloads, on the suite's seeds.
+fn analysis_campus() -> Vec<TraceRecord> {
     CampusWorkload::new(CampusConfig {
         users: 6,
         duration_micros: nfstrace_core::time::DAY,
-        seed: 42,
+        seed: scenarios::CAMPUS_SEED,
         ..CampusConfig::default()
     })
+    .generate()
 }
 
 /// See [`analysis_campus`].
-fn analysis_eecs() -> EecsWorkload {
+fn analysis_eecs() -> Vec<TraceRecord> {
     EecsWorkload::new(EecsConfig {
         users: 4,
         duration_micros: nfstrace_core::time::DAY,
-        seed: 1789,
+        seed: scenarios::EECS_SEED,
         ..EecsConfig::default()
     })
+    .generate()
 }
 
 /// Number of full artifact sweeps both analysis paths perform.
@@ -213,7 +220,7 @@ const ANALYSIS_SWEEPS: usize = 3;
 fn legacy_analysis(campus: &[TraceRecord], eecs: &[TraceRecord]) -> usize {
     let mut chars = 0;
     for _ in 0..ANALYSIS_SWEEPS {
-        for artifact in artifacts::<TraceIndex>() {
+        for artifact in artifacts() {
             let ci = TraceIndex::new(campus.to_vec());
             let ei = TraceIndex::new(eecs.to_vec());
             chars += artifact(&ci, &ei);
@@ -228,14 +235,14 @@ fn indexed_analysis(campus: &[TraceRecord], eecs: &[TraceRecord]) -> usize {
     let ei = TraceIndex::new(eecs.to_vec());
     let mut chars = 0;
     for _ in 0..ANALYSIS_SWEEPS {
-        chars += run_artifacts(&ci, &ei);
+        chars += artifacts().iter().map(|f| f(&ci, &ei)).sum::<usize>();
     }
     chars
 }
 
 fn bench_analysis_paths(c: &mut Criterion) {
-    let campus = analysis_campus().generate();
-    let eecs = analysis_eecs().generate();
+    let campus = analysis_campus();
+    let eecs = analysis_eecs();
     let mut g = c.benchmark_group("analysis");
     g.sample_size(10);
     g.bench_function("legacy_fresh_index_per_artifact", |b| {
@@ -255,675 +262,4 @@ criterion_group!(
     bench_anonymize,
     bench_analysis_paths
 );
-
-/// What the out-of-core measurement reports.
-struct StoreNumbers {
-    /// Seconds to generate both traces into stores and index them.
-    build_s: f64,
-    /// Seconds for the artifact sweeps against the store indices.
-    analysis_s: f64,
-    /// Total chunks across both stores.
-    chunks: usize,
-    /// Total on-disk bytes of both (compressed) stores.
-    lz_bytes: u64,
-    /// The same records re-serialized without compression.
-    raw_bytes: u64,
-}
-
-/// The out-of-core shape: generate both day-long traces straight into
-/// chunked, per-chunk-compressed store files, open chunk-parallel
-/// store indices, run the same artifact sweeps — and re-serialize both
-/// stores raw to track what compression buys on disk.
-fn store_analysis(dir: &std::path::Path) -> StoreNumbers {
-    use std::time::Instant;
-    std::fs::create_dir_all(dir).expect("store dir");
-    let threads = nfstrace_core::parallel::threads();
-    let cfg = StoreConfig {
-        // Day-long bench traces are small; keep several chunks in play
-        // so the chunk-parallel path is actually exercised.
-        target_chunk_bytes: 256 << 10,
-        ..StoreConfig::default()
-    };
-    let t = Instant::now();
-    let campus_path = dir.join("campus.nfstore");
-    let mut w = StoreWriter::create(&campus_path, cfg).expect("create store");
-    analysis_campus()
-        .generate_into(threads, &mut w)
-        .expect("stream campus");
-    let mut lz_bytes = w.finish().expect("finish store").file_bytes;
-    let eecs_path = dir.join("eecs.nfstore");
-    let mut w = StoreWriter::create(&eecs_path, cfg).expect("create store");
-    analysis_eecs()
-        .generate_into(threads, &mut w)
-        .expect("stream eecs");
-    lz_bytes += w.finish().expect("finish store").file_bytes;
-    let ci = StoreIndex::open(&campus_path).expect("open campus store");
-    let ei = StoreIndex::open(&eecs_path).expect("open eecs store");
-    let build_s = t.elapsed().as_secs_f64();
-    let chunks = ci.reader().chunk_count() + ei.reader().chunk_count();
-
-    let t = Instant::now();
-    let mut chars = 0;
-    for _ in 0..ANALYSIS_SWEEPS {
-        chars += run_artifacts(&ci, &ei);
-    }
-    assert!(chars > 0);
-    let analysis_s = t.elapsed().as_secs_f64();
-
-    // Compression effectiveness: stream the same records back out into
-    // raw (uncompressed) v2 stores and compare file sizes.
-    let raw_cfg = StoreConfig {
-        compression: nfstrace_store::Compression::None,
-        ..cfg
-    };
-    let mut raw_bytes = 0;
-    for (idx, name) in [(&ci, "campus-raw.nfstore"), (&ei, "eecs-raw.nfstore")] {
-        let mut w = StoreWriter::create(dir.join(name), raw_cfg).expect("create raw store");
-        idx.reader()
-            .for_each(|r| w.push(r).expect("push raw"))
-            .expect("stream records");
-        raw_bytes += w.finish().expect("finish raw store").file_bytes;
-    }
-
-    StoreNumbers {
-        build_s,
-        analysis_s,
-        chunks,
-        lz_bytes,
-        raw_bytes,
-    }
-}
-
-/// What the live-ingest measurement reports.
-struct LiveNumbers {
-    /// Seconds to live-ingest the day-long CAMPUS trace (sliced
-    /// generation → rotating segment ingest) and reopen the merged
-    /// segment index.
-    ingest_s: f64,
-    /// Sealed segments produced.
-    segments: usize,
-    /// Peak hot-tail records (bounded by the rotation threshold).
-    peak_hot_records: usize,
-    /// Peak records in one generation slice's merged batch.
-    peak_batch_records: usize,
-    /// Peak generated-but-unsunk records inside the sliced generator.
-    gen_peak_resident_records: usize,
-    /// Records ingested.
-    total_records: u64,
-}
-
-/// The live shape over the same day-long CAMPUS scenario the other
-/// analysis paths measure: bounded slices in, rotated segments out,
-/// peaks recorded.
-fn live_ingest_numbers(dir: &std::path::Path) -> LiveNumbers {
-    use std::time::Instant;
-    std::fs::remove_dir_all(dir).ok();
-    let threads = nfstrace_core::parallel::threads();
-    let t = Instant::now();
-    let mut ingest = LiveIngest::create(LiveConfig {
-        dir: dir.to_path_buf(),
-        store: StoreConfig {
-            target_chunk_bytes: 256 << 10,
-            ..StoreConfig::default()
-        },
-        rotate_records: 50_000,
-        rotate_micros: nfstrace_core::time::HOUR * 4,
-        ..LiveConfig::new(dir)
-    })
-    .expect("create live ingest");
-    let mut source = SlicedWorkloadSource::new(SlicedWorkload::campus(
-        analysis_campus().config,
-        nfstrace_core::time::HOUR * 2,
-        threads,
-    ));
-    ingest.run(&mut source).expect("live ingest");
-    let gen_peak = source.generator().peak_resident_records();
-    let summary = ingest.finish().expect("finish live ingest");
-    let merged = StoreIndex::open_dir(dir).expect("open segment dir");
-    let ingest_s = t.elapsed().as_secs_f64();
-    assert_eq!(TraceView::len(&merged) as u64, summary.total_records);
-    LiveNumbers {
-        ingest_s,
-        segments: summary.segments,
-        peak_hot_records: summary.peak_hot_records,
-        peak_batch_records: summary.peak_batch_records,
-        gen_peak_resident_records: gen_peak,
-        total_records: summary.total_records,
-    }
-}
-
-/// What the offline compaction + pruning-planner measurement reports.
-struct CompactionNumbers {
-    /// Catalog segments before / after the fan-in-3 cascade.
-    segments_before: usize,
-    segments_after: usize,
-    /// Merge passes the cascade performed (`store.compactions`).
-    compactions: u64,
-    /// Seconds for the whole offline `compact_all` cascade (k-way
-    /// streaming merge + filter/footer recompute + atomic swap).
-    compact_s: f64,
-    /// Chunk decodes for a full scan vs a 4-hour window over the
-    /// compacted catalog — the planner must make the window strictly
-    /// cheaper.
-    full_chunks_decoded: u64,
-    window_chunks_decoded: u64,
-    /// Whole segments the planner dismissed by footer time range on
-    /// that window (`store.segments_pruned`), and the fraction of the
-    /// compacted catalog that is.
-    window_segments_pruned: u64,
-    window_pruned_fraction: f64,
-}
-
-/// The lifecycle shape over the same day-long CAMPUS scenario: rotate
-/// segments as [`live_ingest_numbers`] does, then compact the sealed
-/// catalog offline at fan-in 3 and price a 4-hour windowed query
-/// against a full scan over the generation-tagged result.
-fn compaction_numbers(dir: &std::path::Path) -> CompactionNumbers {
-    use nfstrace_store::compact::FaultInjector;
-    use nfstrace_store::{CompactionPolicy, Compactor, SegmentCatalog};
-    use std::time::Instant;
-    std::fs::remove_dir_all(dir).ok();
-    let threads = nfstrace_core::parallel::threads();
-    let cfg = StoreConfig {
-        target_chunk_bytes: 256 << 10,
-        ..StoreConfig::default()
-    };
-    let mut ingest = LiveIngest::create(LiveConfig {
-        store: cfg,
-        rotate_records: 50_000,
-        rotate_micros: nfstrace_core::time::HOUR * 4,
-        ..LiveConfig::new(dir)
-    })
-    .expect("create live ingest");
-    let mut source = SlicedWorkloadSource::new(SlicedWorkload::campus(
-        analysis_campus().config,
-        nfstrace_core::time::HOUR * 2,
-        threads,
-    ));
-    ingest.run(&mut source).expect("live ingest");
-    let total = ingest.finish().expect("finish live ingest").total_records;
-
-    let registry = nfstrace_telemetry::Registry::new();
-    let mut catalog = SegmentCatalog::open_and_sweep(dir).expect("open catalog");
-    let segments_before = catalog.len();
-    let compactor = Compactor::new(CompactionPolicy { fan_in: 3 }, cfg, &registry);
-    let t = Instant::now();
-    compactor
-        .compact_all(&mut catalog, &mut FaultInjector::none())
-        .expect("compact catalog");
-    let compact_s = t.elapsed().as_secs_f64();
-    let segments_after = catalog.len();
-    let compactions = registry.counter("store.compactions").value();
-
-    let merged = StoreIndex::open_dir_with_registry(dir, &registry).expect("open compacted dir");
-    assert_eq!(TraceView::len(&merged) as u64, total);
-    let decoded = registry.counter("store.chunks_decoded");
-    let pruned = registry.counter("store.segments_pruned");
-    let d0 = decoded.value();
-    let full = merged.time_window(0, u64::MAX);
-    let full_chunks_decoded = decoded.value() - d0;
-    let p0 = pruned.value();
-    let d1 = decoded.value();
-    let window = merged.time_window(nfstrace_core::time::HOUR * 2, nfstrace_core::time::HOUR * 6);
-    let window_chunks_decoded = decoded.value() - d1;
-    let window_segments_pruned = pruned.value() - p0;
-    assert!(TraceView::len(&window) <= TraceView::len(&full));
-    CompactionNumbers {
-        segments_before,
-        segments_after,
-        compactions,
-        compact_s,
-        full_chunks_decoded,
-        window_chunks_decoded,
-        window_segments_pruned,
-        window_pruned_fraction: window_segments_pruned as f64 / segments_after.max(1) as f64,
-    }
-}
-
-/// What the sharded live-ingest measurement reports.
-struct ShardedLiveNumbers {
-    /// Seconds to ingest the day-long CAMPUS trace through the
-    /// multi-writer daemon (slice generation + batch fan-out +
-    /// per-slice snapshots).
-    ingest_s: f64,
-    /// Shard count measured.
-    shards: usize,
-    /// Each shard's peak hot-tail records, in shard order — the
-    /// sharded daemon's resident-record bound is their sum.
-    per_shard_peak_hot: Vec<usize>,
-    /// Mid-ingest snapshots taken (one per generation slice).
-    snapshots: usize,
-    /// Total seconds across those snapshots. With the copy-on-write
-    /// running partial this is O(shards · hot-map clone) per call, not
-    /// O(distinct files + accesses) — the number regression-tracked
-    /// here.
-    snapshot_s: f64,
-    total_records: u64,
-}
-
-/// The sharded shape over the same day-long CAMPUS scenario: batch
-/// fan-out across shards, with a merged `LiveView` snapshot taken after
-/// *every* slice to price mid-ingest querying.
-fn sharded_live_numbers(dir: &std::path::Path, shards: usize) -> ShardedLiveNumbers {
-    use std::time::Instant;
-    std::fs::remove_dir_all(dir).ok();
-    let threads = nfstrace_core::parallel::threads();
-    let t = Instant::now();
-    let mut ingest = ShardedLiveIngest::create(
-        LiveConfig {
-            store: StoreConfig {
-                target_chunk_bytes: 256 << 10,
-                ..StoreConfig::default()
-            },
-            rotate_records: 50_000,
-            rotate_micros: nfstrace_core::time::HOUR * 4,
-            ..LiveConfig::new(dir)
-        },
-        shards,
-    )
-    .expect("create sharded ingest");
-    let mut sliced = SlicedWorkload::campus(
-        analysis_campus().config,
-        nfstrace_core::time::HOUR * 2,
-        threads,
-    );
-    let mut batch: Vec<TraceRecord> = Vec::new();
-    let mut snapshot_s = 0.0;
-    let mut snapshots = 0usize;
-    loop {
-        batch.clear();
-        if !sliced.next_slice_into(&mut batch).expect("slice") {
-            break;
-        }
-        ingest.ingest_batch(&batch).expect("sharded ingest");
-        let ts = Instant::now();
-        let view = ingest.view();
-        assert_eq!(view.len() as u64, ingest.total_records());
-        snapshot_s += ts.elapsed().as_secs_f64();
-        snapshots += 1;
-    }
-    let per_shard_peak_hot: Vec<usize> = ingest
-        .shards()
-        .iter()
-        .map(|s| s.peak_hot_records())
-        .collect();
-    let total_records = ingest.total_records();
-    ingest.finish().expect("finish sharded ingest");
-    ShardedLiveNumbers {
-        ingest_s: t.elapsed().as_secs_f64(),
-        shards,
-        per_shard_peak_hot,
-        snapshots,
-        snapshot_s,
-        total_records,
-    }
-}
-
-/// What the serving-loop measurement reports.
-struct ServeNumbers {
-    /// Calls served (== the plan's call count; asserted).
-    calls: u64,
-    /// Seconds for the whole closed loop: serve over loopback TCP,
-    /// replay, tap, frame, sniff, live-ingest.
-    roundtrip_s: f64,
-    /// `calls / roundtrip_s`.
-    calls_per_s: f64,
-    /// Replay client RTT percentiles (histogram bucket upper bounds).
-    rtt_p50_us: u64,
-    rtt_p99_us: u64,
-    /// Server-side dispatch mean (decode + plan lookup + encode).
-    dispatch_mean_us: f64,
-    /// Replay connections used.
-    connections: usize,
-}
-
-/// The serving-loop shape over the same day-long CAMPUS scenario: the
-/// trace compiled to wire RPC, served by the record-marked loopback
-/// TCP server, replayed with a bounded window, and the tap captured
-/// back into a segment store — the full generate → serve → capture →
-/// analyze cycle priced as one number.
-fn serve_numbers(dir: &std::path::Path) -> ServeNumbers {
-    use std::time::Instant;
-    std::fs::remove_dir_all(dir).ok();
-    let records = analysis_campus().generate();
-    let plan = ReplayPlan::from_records(&records);
-    let options = ReplayOptions {
-        connections: 2,
-        ..ReplayOptions::default()
-    };
-    let registry = nfstrace_telemetry::Registry::new();
-    let t = Instant::now();
-    let outcome = serve_roundtrip(&plan, &options, &registry, dir).expect("serve roundtrip");
-    let roundtrip_s = t.elapsed().as_secs_f64();
-    assert_eq!(outcome.unplanned_calls, 0, "unplanned calls");
-    assert_eq!(outcome.replay.retransmits, 0, "loopback retransmits");
-    assert_eq!(outcome.summary.total_records, plan.calls.len() as u64);
-    let calls = registry.counter("serve.calls").value();
-    assert_eq!(calls, plan.calls.len() as u64, "served calls");
-    let rtt = registry.histogram("replay.rtt_micros").snapshot();
-    ServeNumbers {
-        calls,
-        roundtrip_s,
-        calls_per_s: calls as f64 / roundtrip_s.max(1e-9),
-        rtt_p50_us: rtt.percentile(0.5),
-        rtt_p99_us: rtt.percentile(0.99),
-        dispatch_mean_us: registry
-            .histogram("serve.dispatch_micros")
-            .snapshot()
-            .mean(),
-        connections: options.connections,
-    }
-}
-
-/// What the telemetry-overhead measurement reports.
-struct TelemetryNumbers {
-    /// Best capture wall-clock with default private registries nobody
-    /// reads (the shape every earlier PR measured).
-    plain_best_s: f64,
-    /// Best capture wall-clock counting into a shared registry while a
-    /// background [`nfstrace_telemetry::Exporter`] samples it.
-    exported_best_s: f64,
-    /// `(exported - plain) / plain`, percent. The budget is < 2%.
-    overhead_pct: f64,
-}
-
-/// Prices telemetry on the hottest instrumented path: the capture
-/// corpus through the zero-copy sniffer. Each timed pass replays the
-/// corpus several times (a single replay is ~10 ms — too short to
-/// resolve a sub-2% effect under scheduler jitter on small runners),
-/// both sides take the best of several passes, and the sides
-/// interleave so cache and frequency drift hit them evenly.
-/// The exported side shares one registry across runs with a live
-/// exporter sampling at 1 s — a daemon's cadence. What's being priced
-/// is the per-record cost (the striped atomics on the decode path);
-/// exporter ticks are amortized per interval, not per record, so the
-/// interval is chosen so a best-of pass exists without a tick in it.
-fn telemetry_overhead(packets: &[nfstrace_net::pcap::CapturedPacket]) -> TelemetryNumbers {
-    use nfstrace_telemetry::{Exporter, ExporterConfig, Registry};
-    use std::time::{Duration, Instant};
-
-    let dir = std::env::temp_dir().join(format!("nfstrace-bench-telemetry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("telemetry bench dir");
-    let registry = Registry::new();
-    let exporter = Exporter::spawn(
-        registry.clone(),
-        ExporterConfig {
-            interval: Duration::from_secs(1),
-            jsonl_path: Some(dir.join("overhead.jsonl")),
-            prometheus_path: Some(dir.join("overhead.prom")),
-            stderr: false,
-        },
-    )
-    .expect("spawn exporter");
-
-    const REPLAYS_PER_PASS: usize = 5;
-    const PASSES: usize = 7;
-    let mut plain_best_s = f64::INFINITY;
-    let mut exported_best_s = f64::INFINITY;
-    for _ in 0..PASSES {
-        let mut plain_records = 0usize;
-        let t = Instant::now();
-        for _ in 0..REPLAYS_PER_PASS {
-            let mut s = Sniffer::new();
-            s.observe_batch(packets);
-            plain_records = s.finish().0.len();
-        }
-        plain_best_s = plain_best_s.min(t.elapsed().as_secs_f64() / REPLAYS_PER_PASS as f64);
-
-        let mut exported_records = 0usize;
-        let t = Instant::now();
-        for _ in 0..REPLAYS_PER_PASS {
-            let mut s = Sniffer::with_registry(&registry);
-            s.observe_batch(packets);
-            exported_records = s.finish().0.len();
-        }
-        exported_best_s = exported_best_s.min(t.elapsed().as_secs_f64() / REPLAYS_PER_PASS as f64);
-        assert_eq!(exported_records, plain_records);
-    }
-    exporter.stop().expect("stop exporter");
-    std::fs::remove_dir_all(&dir).ok();
-
-    TelemetryNumbers {
-        plain_best_s,
-        exported_best_s,
-        overhead_pct: (exported_best_s - plain_best_s) / plain_best_s.max(1e-9) * 100.0,
-    }
-}
-
-/// One-shot wall-clock numbers for `BENCH_pipeline.json` (measured with
-/// plain `Instant`, independent of the criterion stub's windowing).
-fn write_pipeline_json() {
-    use std::time::Instant;
-    let t = Instant::now();
-    let campus = analysis_campus().generate_with_threads(1);
-    let gen_serial_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let _sharded =
-        analysis_campus().generate_with_threads(nfstrace_core::parallel::threads().max(2));
-    let gen_sharded_s = t.elapsed().as_secs_f64();
-    let eecs = analysis_eecs().generate();
-
-    let t = Instant::now();
-    legacy_analysis(&campus, &eecs);
-    let legacy_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    indexed_analysis(&campus, &eecs);
-    let indexed_s = t.elapsed().as_secs_f64();
-
-    // Per-process dir: concurrent bench runs must not truncate each
-    // other's store files mid-write.
-    let store_dir =
-        std::env::temp_dir().join(format!("nfstrace-bench-store-{}", std::process::id()));
-    let store = store_analysis(&store_dir);
-    std::fs::remove_dir_all(&store_dir).ok();
-
-    let live_dir = std::env::temp_dir().join(format!("nfstrace-bench-live-{}", std::process::id()));
-    let live = live_ingest_numbers(&live_dir);
-    std::fs::remove_dir_all(&live_dir).ok();
-
-    let sharded_dir =
-        std::env::temp_dir().join(format!("nfstrace-bench-sharded-{}", std::process::id()));
-    let sharded = sharded_live_numbers(&sharded_dir, 4);
-    std::fs::remove_dir_all(&sharded_dir).ok();
-
-    let compact_dir =
-        std::env::temp_dir().join(format!("nfstrace-bench-compact-{}", std::process::id()));
-    let compaction = compaction_numbers(&compact_dir);
-    std::fs::remove_dir_all(&compact_dir).ok();
-
-    let serve_dir =
-        std::env::temp_dir().join(format!("nfstrace-bench-serve-{}", std::process::id()));
-    let serve = serve_numbers(&serve_dir);
-    std::fs::remove_dir_all(&serve_dir).ok();
-
-    // Capture throughput: the multi-client TCP corpus through the
-    // zero-copy sniffer, best-of-3 (the corpus uses standard-MSS
-    // segments, so TCP reassembly and record re-marking are on the
-    // measured path, not just the borrowed decode).
-    let capture_packets = capture_corpus();
-    let capture_wire_bytes: u64 = capture_packets.iter().map(|p| p.data.len() as u64).sum();
-    let mut capture_best_s = f64::INFINITY;
-    let mut capture_records = 0usize;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let mut s = Sniffer::new();
-        s.observe_batch(&capture_packets);
-        let (recs, _stats) = s.finish();
-        capture_records = recs.len();
-        capture_best_s = capture_best_s.min(t.elapsed().as_secs_f64());
-    }
-
-    let telemetry = telemetry_overhead(&capture_packets);
-
-    let json = format!(
-        r#"{{
-  "bench": "pipeline",
-  "history": {{
-    "note": "frozen hand-timed records of ./target/release/repro at NFSTRACE_SCALE=1.0; NOT remeasured by this bench — the regression-tracked signal is `measured` below",
-    "pre_refactor_samples": [36.57, 23.19],
-    "post_refactor_samples": [17.72, 15.25, 9.18],
-    "pr3_multi_worker": {{
-      "note": "hand-timed on the PR 3 runner (1 CPU: thread counts above 1 are determinism coverage, not speedup) — in-memory vs --store out-of-core, best-of-3 each",
-      "cpus": 1,
-      "in_memory": {{"threads_1_s": 6.87, "threads_2_s": 7.11}},
-      "store": {{"threads_1_s": 10.81, "threads_2_s": 12.07}}
-    }},
-    "pr4_fused_store": {{
-      "note": "hand-timed on the PR 4 runner (again 1 CPU) after the fused replay (7 decode passes -> construction + 1) and v2 per-chunk compression landed; store-over-memory overhead fell from +57% (PR 3) to +36% best-of-3, with stores ~2.4x smaller on disk",
-      "cpus": 1,
-      "in_memory": {{"threads_1_s": 7.02, "threads_2_s": 6.11}},
-      "store": {{"threads_1_s": 9.55, "threads_2_s": 9.89}},
-      "store_bytes_scale_1": {{"campus": 29574062, "eecs": 23508542}}
-    }},
-    "pr7_zero_copy_capture": {{
-      "note": "hand-measured on the PR 7 runner with crates/sniffer/examples/capture_throughput.rs (8-client create/write-4MiB/read-back/remove TCP capture; best of 5 passes per run, median of 3 interleaved before/after runs) around the borrowed zero-alloc decode path landing; the acceptance bar was >=2x records/s",
-      "mss1448_records_per_s": {{"before": 69470, "after": 162632, "speedup": 2.34}},
-      "jumbo_records_per_s": {{"before": 105735, "after": 310158, "speedup": 2.93}}
-    }},
-    "pr8_telemetry": {{
-      "note": "frozen from the PR 8 runner (1 CPU) when the unified metrics registry landed; the `telemetry_*` fields below remeasure this shape every run (interleaved best-of-7 passes of 5 corpus replays each: private unread registries vs one shared registry under a live 1 s exporter) — repeated runs centered on zero (-0.9, -0.4, +0.2, +0.6 pct across four), within noise of the plain side and inside the < 2% acceptance budget",
-      "capture_plain_best_s": 0.0098,
-      "capture_exported_best_s": 0.0097,
-      "overhead_pct": -0.42
-    }},
-    "pr10_serve_loop": {{
-      "note": "frozen from the PR 10 runner (1 CPU) when the nfstrace-serve crate landed: the record-marked NFSv3-over-loopback-TCP server, the windowed replay client, and the tap that mirrors every exchanged byte into the sniffer + live ingest; the `serve_*` fields below remeasure the day-long CAMPUS shape every run; at scale 0.1 the `serve` bin closed the loop over both 8-day traces (290287 calls, zero retransmissions, suite output byte-identical to `repro --store`) with CAMPUS at ~6k calls/s (900 MiB of wire bytes through one core) and EECS at ~88k calls/s, replay rtt p50 511 us / p99 8191 us, dispatch mean ~24 us over 2 connections per system",
-      "scale_0_1_calls": 290287,
-      "scale_0_1_campus_calls_per_s": 6000,
-      "scale_0_1_eecs_calls_per_s": 88000,
-      "scale_0_1_rtt_p50_us": 511,
-      "scale_0_1_rtt_p99_us": 8191,
-      "connections": 2
-    }},
-    "pr9_compaction": {{
-      "note": "frozen from the PR 9 runner (1 CPU) when generation-tagged segment compaction, size/age retention, and the footer-pruning query planner landed; the `compact_*` fields below remeasure this shape every run — the day-long CAMPUS segment catalog compacts offline at fan-in 3 (streaming k-way merge, filters and footers recomputed, crash-safe swap) and a 4-hour windowed query over the compacted catalog must decode strictly fewer chunks than a full scan; the 8-day CI compaction-smoke additionally pins suite byte-identity over the compacted + retained catalog and `store.segments_pruned > 0`",
-      "segments_before": 6,
-      "segments_after": 2,
-      "compactions": 2,
-      "compact_s": 0.013,
-      "window_pruned_fraction": 0.50,
-      "window_chunks_decoded": 1,
-      "full_chunks_decoded": 3
-    }}
-  }},
-  "measured": {{
-    "note": "measured fresh by every run of `cargo bench --bench pipeline` on small day-long traces; `legacy` rebuilds its view per artifact (the pre-refactor shape), `indexed` shares one TraceIndex across all sweeps, `store` streams generation into chunked per-chunk-compressed store files and analyzes them out-of-core; the byte counts compare those files against a raw re-serialization; `live_*` streams the same CAMPUS day through the time-sliced generator into a rotating segment ingest (peaks show the bounded-memory contract: hot tail + one slice, never the trace); `live_sharded_*` runs that day through the multi-writer daemon at a fixed shard count with a merged-view snapshot after every slice — per-shard hot peaks bound sharded residency and the snapshot mean prices copy-on-write mid-ingest querying; `capture_*` replays the synthetic 8-client standard-MSS TCP capture through the zero-copy sniffer (reassembly + borrowed decode + single materialization), best-of-3; `telemetry_*` interleaves best-of-7 passes of 5 capture replays each, private unread registries against one shared registry sampled by a live 1 s exporter (budget: < 2% overhead, expect noise of a few pct either side of zero on shared runners); `compact_*` rotates that CAMPUS day into a segment catalog, compacts it offline at fan-in 3 (generation-tagged streaming merges), and prices a 4-hour windowed query against a full scan — footer-pruned segments never decode a chunk; `serve_*` compiles that CAMPUS day to wire RPC, serves it from the loopback TCP server, replays it over 2 windowed connections, and live-ingests the tapped byte streams back into a segment store — the closed serve/capture loop priced end to end (asserting zero unplanned calls and zero retransmissions); peak_rss_kb is this process's VmHWM and cpus the runner's available parallelism",
-    "generate_campus_day_serial_s": {gen_serial_s:.3},
-    "generate_campus_day_sharded_s": {gen_sharded_s:.3},
-    "threads": {threads},
-    "analysis_sweeps": {sweeps},
-    "analysis_legacy_fresh_index_per_artifact_s": {legacy_s:.3},
-    "analysis_indexed_shared_s": {indexed_s:.3},
-    "analysis_speedup": {aspeed:.2},
-    "store_generate_and_index_s": {store_build_s:.3},
-    "analysis_store_shared_s": {store_analysis_s:.3},
-    "store_chunks": {store_chunks},
-    "store_vs_indexed_analysis_ratio": {sratio:.2},
-    "store_file_bytes_compressed": {lz_bytes},
-    "store_file_bytes_raw": {raw_bytes},
-    "store_compression_ratio": {cratio:.2},
-    "cpus": {cpus},
-    "peak_rss_kb": {peak_rss},
-    "live_ingest_s": {live_s:.3},
-    "live_segments": {live_segments},
-    "live_total_records": {live_total},
-    "live_peak_hot_records": {live_hot},
-    "live_peak_slice_records": {live_slice},
-    "live_gen_peak_resident_records": {live_gen},
-    "live_sharded_shards": {sh_shards},
-    "live_sharded_ingest_s": {sh_ingest_s:.3},
-    "live_sharded_total_records": {sh_total},
-    "live_sharded_per_shard_peak_hot_records": {sh_peaks:?},
-    "live_sharded_snapshots": {sh_snaps},
-    "live_sharded_snapshot_total_s": {sh_snap_s:.4},
-    "live_sharded_snapshot_mean_ms": {sh_snap_ms:.3},
-    "capture_packets": {cap_packets},
-    "capture_wire_bytes": {cap_bytes},
-    "capture_records": {cap_records},
-    "capture_best_s": {cap_s:.4},
-    "capture_records_per_s": {cap_rps:.0},
-    "capture_mib_per_s": {cap_mibps:.0},
-    "telemetry_capture_plain_best_s": {tel_plain_s:.4},
-    "telemetry_capture_exported_best_s": {tel_exp_s:.4},
-    "telemetry_overhead_pct": {tel_pct:.2},
-    "compact_fan_in": 3,
-    "compact_segments_before": {c_before},
-    "compact_segments_after": {c_after},
-    "compact_compactions": {c_n},
-    "compact_s": {c_s:.4},
-    "compact_full_chunks_decoded": {c_full},
-    "compact_window_chunks_decoded": {c_win},
-    "compact_window_segments_pruned": {c_pruned},
-    "compact_window_pruned_fraction": {c_frac:.2},
-    "serve_calls": {srv_calls},
-    "serve_roundtrip_s": {srv_s:.3},
-    "serve_calls_per_s": {srv_cps:.0},
-    "serve_rtt_p50_us": {srv_p50},
-    "serve_rtt_p99_us": {srv_p99},
-    "serve_dispatch_mean_us": {srv_disp:.1},
-    "serve_connections": {srv_conns}
-  }}
-}}
-"#,
-        threads = nfstrace_core::parallel::threads(),
-        sweeps = ANALYSIS_SWEEPS,
-        aspeed = legacy_s / indexed_s.max(1e-9),
-        sratio = store.analysis_s / indexed_s.max(1e-9),
-        store_build_s = store.build_s,
-        store_analysis_s = store.analysis_s,
-        store_chunks = store.chunks,
-        lz_bytes = store.lz_bytes,
-        raw_bytes = store.raw_bytes,
-        cratio = store.raw_bytes as f64 / store.lz_bytes.max(1) as f64,
-        cpus = std::thread::available_parallelism().map_or(1, |n| n.get()),
-        peak_rss = nfstrace_bench::suite::peak_rss_kb().unwrap_or(0),
-        live_s = live.ingest_s,
-        live_segments = live.segments,
-        live_total = live.total_records,
-        live_hot = live.peak_hot_records,
-        live_slice = live.peak_batch_records,
-        live_gen = live.gen_peak_resident_records,
-        sh_shards = sharded.shards,
-        sh_ingest_s = sharded.ingest_s,
-        sh_total = sharded.total_records,
-        sh_peaks = sharded.per_shard_peak_hot,
-        sh_snaps = sharded.snapshots,
-        sh_snap_s = sharded.snapshot_s,
-        sh_snap_ms = sharded.snapshot_s * 1000.0 / sharded.snapshots.max(1) as f64,
-        cap_packets = capture_packets.len(),
-        cap_bytes = capture_wire_bytes,
-        cap_records = capture_records,
-        cap_s = capture_best_s,
-        cap_rps = capture_records as f64 / capture_best_s.max(1e-9),
-        cap_mibps = capture_wire_bytes as f64 / capture_best_s.max(1e-9) / (1 << 20) as f64,
-        tel_plain_s = telemetry.plain_best_s,
-        tel_exp_s = telemetry.exported_best_s,
-        tel_pct = telemetry.overhead_pct,
-        c_before = compaction.segments_before,
-        c_after = compaction.segments_after,
-        c_n = compaction.compactions,
-        c_s = compaction.compact_s,
-        c_full = compaction.full_chunks_decoded,
-        c_win = compaction.window_chunks_decoded,
-        c_pruned = compaction.window_segments_pruned,
-        c_frac = compaction.window_pruned_fraction,
-        srv_calls = serve.calls,
-        srv_s = serve.roundtrip_s,
-        srv_cps = serve.calls_per_s,
-        srv_p50 = serve.rtt_p50_us,
-        srv_p99 = serve.rtt_p99_us,
-        srv_disp = serve.dispatch_mean_us,
-        srv_conns = serve.connections,
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    print!("{json}");
-}
-
-fn main() {
-    benches();
-    write_pipeline_json();
-}
+criterion_main!(benches);

@@ -9,7 +9,7 @@ use nfstrace_sniffer::{Sniffer, WireEncoder};
 
 fn main() {
     let s = (scale() * 0.25).max(0.1);
-    let records = scenarios::campus(1, s, 42);
+    let records = scenarios::campus(1, s, scenarios::CAMPUS_SEED);
     println!(
         "mirror-port loss experiment: {} records re-encoded to the wire",
         records.len()

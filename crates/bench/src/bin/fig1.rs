@@ -6,7 +6,7 @@ use nfstrace_core::index::TraceIndex;
 fn main() {
     let s = scale();
     // Only Wednesday morning is analyzed; four days suffice.
-    let campus = TraceIndex::new(scenarios::campus(4, s, 42));
-    let eecs = TraceIndex::new(scenarios::eecs(4, s, 1789));
+    let campus = TraceIndex::new(scenarios::campus(4, s, scenarios::CAMPUS_SEED));
+    let eecs = TraceIndex::new(scenarios::eecs(4, s, scenarios::EECS_SEED));
     print!("{}", tables::fig1(&campus, &eecs).text);
 }

@@ -15,8 +15,10 @@
 //! - the merged segment `StoreIndex` prints the same suite text as the
 //!   batch `--store` path;
 //! - peak resident record counts stay bounded by the slice and
-//!   rotation thresholds (reported on stderr for
-//!   `BENCH_pipeline.json`-style tracking).
+//!   rotation thresholds (reported on a machine-greppable
+//!   `live-memory:` stderr line; the timed, gated measurement of this
+//!   path is perfbench's `ingest-sharded` workload — `BENCHMARK.json`,
+//!   `perfbench/README.md`).
 //!
 //! With `--shards <n>` the same traces run through the sharded
 //! multi-writer daemon ([`nfstrace_live::ShardedLiveIngest`]) instead:
@@ -50,585 +52,329 @@
 //! (default: a per-process temp dir, removed on success; single-writer
 //! daemon; no compaction; no metrics export).
 
+use nfstrace_bench::pipeline::{Bin, OrExit, Run};
+use nfstrace_bench::scenarios;
 use nfstrace_bench::suite::{peak_rss_kb, suite_text};
-use nfstrace_bench::{scale, scenarios};
 use nfstrace_core::index::TraceView;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::{DAY, HOUR};
-use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest};
+use nfstrace_live::{LiveConfig, LiveIngest, LiveView, ShardedLiveIngest};
 use nfstrace_store::{
     CompactionPolicy, RetentionPolicy, SegmentCatalog, StoreConfig, StoreIndex, StoreReader,
 };
-use nfstrace_telemetry::{Exporter, ExporterConfig, Registry, Snapshot};
 use nfstrace_workload::SlicedWorkload;
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Simulated time per generation slice.
 const SLICE_MICROS: u64 = 6 * HOUR;
 
-/// Rotation: seal segments daily (or at half a million records), with
-/// optional in-line compaction at the requested fan-in.
-fn live_config(dir: &Path, registry: &Registry, compact: Option<usize>) -> LiveConfig {
-    LiveConfig {
-        store: StoreConfig::default(),
-        rotate_records: 500_000,
-        rotate_micros: DAY,
-        compaction: compact.map(|fan_in| CompactionPolicy { fan_in }),
-        ..LiveConfig::new(dir)
-    }
-    .with_registry(registry)
+/// Where each system's live segments land.
+fn segment_dir(run: &Run, name: &str) -> PathBuf {
+    run.dir.join(format!("{}-segments", name.to_lowercase()))
 }
 
-/// The exit-time pipeline-health dump (stderr only): every counter and
-/// gauge, plus count/mean for every histogram with samples.
-fn dump_metrics(snapshot: &Snapshot) {
-    eprintln!("pipeline metrics:");
-    for (name, v) in &snapshot.counters {
-        eprintln!("  {name} = {v}");
-    }
-    for (name, v) in &snapshot.gauges {
-        eprintln!("  {name} = {v:.6}");
-    }
-    for (name, h) in &snapshot.histograms {
-        if h.count > 0 {
-            eprintln!("  {name}: count={} mean={:.1}us", h.count, h.mean());
-        }
+/// `name`'s eight-day trace, generated slice by slice from the batch
+/// oracle's configuration and seed.
+fn sliced(run: &Run, name: &str) -> SlicedWorkload {
+    let threads = nfstrace_core::parallel::threads();
+    if name == "CAMPUS" {
+        let config = scenarios::campus_config(8, run.scale, scenarios::CAMPUS_SEED);
+        SlicedWorkload::campus(config, SLICE_MICROS, threads)
+    } else {
+        let config = scenarios::eecs_config(8, run.scale, scenarios::EECS_SEED);
+        SlicedWorkload::eecs(config, SLICE_MICROS, threads)
     }
 }
 
-/// Ingests `sliced` to exhaustion; at the first slice boundary at or
-/// past `check_at` (mid-ingest, hot + sealed both populated), asserts
-/// the live view equals `oracle8` windowed to the records so far.
-fn ingest_with_midpoint_check(
+/// What the midpoint-checked ingest loop needs from a live daemon.
+trait Daemon {
+    /// Ingests one generation slice.
+    fn ingest_slice(&mut self, slice: &[TraceRecord]) -> nfstrace_store::Result<()>;
+    /// A snapshot over everything ingested so far.
+    fn view(&self) -> LiveView;
+    /// Largest hot-tail residency, summed over shards.
+    fn peak_hot_records(&self) -> usize;
+}
+
+impl Daemon for LiveIngest {
+    fn ingest_slice(&mut self, slice: &[TraceRecord]) -> nfstrace_store::Result<()> {
+        // Record-at-a-time ingest bypasses `LiveIngest::run`, so sample
+        // the batch latency here, as every shard of the sharded daemon
+        // does inside `ingest_batch`.
+        let _span = nfstrace_telemetry::span!(&self.config().registry, "live.batch_micros");
+        slice.iter().try_for_each(|r| self.ingest(r))
+    }
+    fn view(&self) -> LiveView {
+        LiveIngest::view(self)
+    }
+    fn peak_hot_records(&self) -> usize {
+        LiveIngest::peak_hot_records(self)
+    }
+}
+
+impl Daemon for ShardedLiveIngest {
+    fn ingest_slice(&mut self, slice: &[TraceRecord]) -> nfstrace_store::Result<()> {
+        self.ingest_batch(slice)
+    }
+    fn view(&self) -> LiveView {
+        ShardedLiveIngest::view(self)
+    }
+    fn peak_hot_records(&self) -> usize {
+        self.shards().iter().map(LiveIngest::peak_hot_records).sum()
+    }
+}
+
+/// Ingests `sliced` to exhaustion into `daemon`; at the first slice
+/// boundary at or past day 4 (mid-ingest, hot + sealed both populated),
+/// asserts the live view equals `oracle8` windowed to the records so
+/// far. Returns the generator's resident peak and the largest slice.
+fn ingest_checked(
     name: &str,
     mut sliced: SlicedWorkload,
-    dir: &Path,
+    daemon: &mut impl Daemon,
     oracle8: &StoreIndex,
-    check_at: u64,
-    registry: &Registry,
-    compact: Option<usize>,
-) -> (nfstrace_live::LiveSummary, usize) {
-    let mut ingest = LiveIngest::create(live_config(dir, registry, compact))
-        .unwrap_or_else(|e| panic!("{name}: create ingest: {e}"));
-    // The sink path bypasses `LiveIngest::run`, so sample the batch
-    // latency per generation slice here.
-    let batch_micros = registry.histogram("live.batch_micros");
+) -> (usize, usize) {
     let mut checked = false;
-    let mut peak_slice = 0u64;
-    let mut before = 0u64;
-    while {
-        let _span = nfstrace_telemetry::span!(batch_micros);
-        sliced
-            .next_slice_into(&mut ingest)
-            .unwrap_or_else(|e| panic!("{name}: ingest slice: {e}"))
-    } {
-        peak_slice = peak_slice.max(ingest.total_records() - before);
-        before = ingest.total_records();
-        let boundary = sliced.emitted_to();
-        if !checked && boundary >= check_at {
-            checked = true;
-            let view = ingest.view();
-            let window = oracle8.time_window(0, boundary);
-            assert_eq!(
-                view.len(),
-                TraceView::len(&window),
-                "{name}: mid-ingest len"
-            );
-            assert_eq!(
-                view.summary(),
-                window.summary(),
-                "{name}: mid-ingest summary"
-            );
-            assert_eq!(view.hourly(), window.hourly(), "{name}: mid-ingest hourly");
-            assert_eq!(
-                view.accesses(10).as_ref(),
-                window.accesses(10).as_ref(),
-                "{name}: mid-ingest accesses"
-            );
-            eprintln!(
-                "  {name}: mid-ingest check at {:.1} days — {} records ({} sealed segments, {} hot), consistent",
-                boundary as f64 / DAY as f64,
-                view.len(),
-                ingest.sealed_segments(),
-                ingest.hot_len(),
-            );
-        }
-    }
-    assert!(checked, "{name}: the mid-ingest checkpoint never ran");
-    let gen_peak = sliced.peak_resident_records();
-    let mut summary = ingest
-        .finish()
-        .unwrap_or_else(|e| panic!("{name}: finish: {e}"));
-    // The sink path bypasses `LiveIngest::run`, so fill the batch peak
-    // from the per-slice deltas observed here.
-    summary.peak_batch_records = summary.peak_batch_records.max(peak_slice as usize);
-    (summary, gen_peak)
-}
-
-/// Like [`ingest_with_midpoint_check`], but through the sharded
-/// multi-writer daemon. Returns the still-open ingest (the suite runs
-/// over its merged mid-ingest view) plus the generator's resident peak.
-#[allow(clippy::too_many_arguments)]
-fn ingest_sharded_with_midpoint_check(
-    name: &str,
-    mut sliced: SlicedWorkload,
-    dir: &Path,
-    oracle8: &StoreIndex,
-    check_at: u64,
-    shards: usize,
-    registry: &Registry,
-    compact: Option<usize>,
-) -> (ShardedLiveIngest, usize) {
-    let mut ingest = ShardedLiveIngest::create(live_config(dir, registry, compact), shards)
-        .unwrap_or_else(|e| panic!("{name}: create sharded ingest: {e}"));
-    let mut checked = false;
-    let mut batch: Vec<TraceRecord> = Vec::new();
+    let mut peak_slice = 0;
+    let mut slice = Vec::new();
     loop {
-        batch.clear();
-        if !sliced
-            .next_slice_into(&mut batch)
-            .unwrap_or_else(|e| panic!("{name}: generate slice: {e}"))
-        {
+        slice.clear();
+        let Ok(more) = sliced.next_slice_into(&mut slice);
+        if !more {
             break;
         }
-        ingest
-            .ingest_batch(&batch)
-            .unwrap_or_else(|e| panic!("{name}: ingest batch: {e}"));
+        daemon
+            .ingest_slice(&slice)
+            .or_exit(&format!("{name}: ingest slice"));
+        peak_slice = peak_slice.max(slice.len());
         let boundary = sliced.emitted_to();
-        if !checked && boundary >= check_at {
-            checked = true;
-            let view = ingest.view();
-            let window = oracle8.time_window(0, boundary);
-            assert_eq!(
-                view.len(),
-                TraceView::len(&window),
-                "{name}/{shards} shards: mid-ingest len"
-            );
-            assert_eq!(
-                view.summary(),
-                window.summary(),
-                "{name}/{shards} shards: mid-ingest summary"
-            );
-            assert_eq!(
-                view.hourly(),
-                window.hourly(),
-                "{name}/{shards} shards: mid-ingest hourly"
-            );
-            assert_eq!(
-                view.accesses(10).as_ref(),
-                window.accesses(10).as_ref(),
-                "{name}/{shards} shards: mid-ingest accesses"
-            );
-            eprintln!(
-                "  {name}: mid-ingest check at {:.1} days — {} records across {} shards \
-                 ({} sealed segments, {} hot), consistent",
-                boundary as f64 / DAY as f64,
-                view.len(),
-                shards,
-                ingest.sealed_segments(),
-                ingest.hot_len(),
-            );
+        if checked || boundary < 4 * DAY {
+            continue;
         }
+        checked = true;
+        let view = daemon.view();
+        let window = oracle8.time_window(0, boundary);
+        assert_eq!(
+            view.len(),
+            TraceView::len(&window),
+            "{name}: mid-ingest len"
+        );
+        assert_eq!(
+            view.summary(),
+            window.summary(),
+            "{name}: mid-ingest summary"
+        );
+        assert_eq!(view.hourly(), window.hourly(), "{name}: mid-ingest hourly");
+        assert_eq!(
+            view.accesses(10).as_ref(),
+            window.accesses(10).as_ref(),
+            "{name}: mid-ingest accesses"
+        );
+        eprintln!(
+            "  {name}: mid-ingest check at {:.1} days — {} records ({} sealed segments, {} hot), \
+             consistent",
+            boundary as f64 / DAY as f64,
+            view.len(),
+            view.sealed().len(),
+            view.hot_records().count(),
+        );
     }
     assert!(checked, "{name}: the mid-ingest checkpoint never ran");
-    let gen_peak = sliced.peak_resident_records();
-    (ingest, gen_peak)
+    (sliced.peak_resident_records(), peak_slice)
+}
+
+/// Live-ingests both systems, each into the daemon `create` builds over
+/// its segment directory and midpoint-checked against its batch oracle,
+/// then reports the bounded-memory observables (stderr,
+/// machine-greppable) and asserts resident records stayed below the
+/// trace size.
+fn ingest_both<D: Daemon>(
+    run: &Run,
+    oracle: &(StoreIndex, StoreIndex),
+    create: impl Fn(LiveConfig) -> nfstrace_store::Result<D>,
+) -> [(&'static str, D); 2] {
+    let mut gen_peak = 0;
+    let mut peak_slice = 0;
+    let daemons = [("CAMPUS", &oracle.0), ("EECS", &oracle.1)].map(|(name, oracle8)| {
+        // Rotation: seal segments daily (or at half a million records),
+        // with optional in-line compaction at the requested fan-in.
+        let config = LiveConfig {
+            store: StoreConfig::default(),
+            rotate_records: 500_000,
+            rotate_micros: DAY,
+            compaction: run.args.compact.map(|fan_in| CompactionPolicy { fan_in }),
+            ..LiveConfig::new(segment_dir(run, name))
+        }
+        .with_registry(&run.registry);
+        let mut daemon = create(config).or_exit(&format!("{name}: create ingest"));
+        let (resident, largest) = ingest_checked(name, sliced(run, name), &mut daemon, oracle8);
+        gen_peak = gen_peak.max(resident);
+        peak_slice = peak_slice.max(largest);
+        (name, daemon)
+    });
+    let total = TraceView::len(&oracle.0) + TraceView::len(&oracle.1);
+    let peak_hot = daemons
+        .iter()
+        .map(|(_, d)| d.peak_hot_records())
+        .max()
+        .unwrap_or(0);
+    eprintln!(
+        "live-memory: total_records={total} peak_hot_records={peak_hot} \
+         peak_slice_records={peak_slice} gen_peak_resident_records={gen_peak} \
+         peak_rss_kb={} cpus={}",
+        peak_rss_kb().unwrap_or(0),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
+    let peak_resident = peak_hot + gen_peak;
+    assert!(
+        peak_resident < total.max(1),
+        "peak resident records ({peak_resident}) must stay below the trace size ({total})"
+    );
+    daemons
+}
+
+/// Compaction really ran — the catalog holds generation-tagged merges
+/// and the daemon counted them — and the planner dismisses whole
+/// segments on a one-day window by footer time range, decoding strictly
+/// fewer chunks than a full scan.
+fn check_compaction(run: &Run, campus: &StoreIndex, campus_b: &StoreIndex) {
+    let catalog = SegmentCatalog::open(segment_dir(run, "CAMPUS")).or_exit("reopen campus catalog");
+    let max_gen = catalog
+        .ids()
+        .iter()
+        .map(|id| id.generation)
+        .max()
+        .unwrap_or(0);
+    assert!(
+        max_gen > 0,
+        "forced compaction left only generation-0 segments"
+    );
+    let compactions = run.registry.counter("store.compactions").value();
+    assert!(compactions > 0, "store.compactions never fired");
+
+    // A windowed query, with the chunks it decoded and segments it pruned.
+    let decoded = run.registry.counter("store.chunks_decoded");
+    let pruned = run.registry.counter("store.segments_pruned");
+    let window = |start, end| {
+        let (d0, p0) = (decoded.value(), pruned.value());
+        let view = campus.time_window(start, end);
+        (view, decoded.value() - d0, pruned.value() - p0)
+    };
+    let (full, full_decodes, _) = window(0, u64::MAX);
+    let (day, window_decodes, window_pruned) = window(2 * DAY, 3 * DAY);
+    assert!(
+        window_pruned > 0,
+        "a one-day window must prune whole segments by footer time range"
+    );
+    assert!(
+        window_decodes < full_decodes,
+        "windowed query decoded {window_decodes} chunks, full scan {full_decodes}"
+    );
+    assert_eq!(
+        TraceView::len(&day),
+        TraceView::len(&campus_b.time_window(2 * DAY, 3 * DAY)),
+        "pruned windowed query must match the batch oracle"
+    );
+    drop(full);
+    eprintln!(
+        "  compaction: campus catalog {} segments (max generation {max_gen}), \
+         {compactions} compactions; day window decoded {window_decodes}/{full_decodes} \
+         chunks, pruned {window_pruned} segments",
+        catalog.len(),
+    );
+}
+
+/// Archives the oldest segments down to the `cap`-byte budget, then
+/// proves nothing was lost: the archived ∪ retained union must re-print
+/// `text` byte for byte.
+fn check_retention(run: &Run, cap: u64, text: &str) {
+    let union = ["CAMPUS", "EECS"].map(|name| {
+        let seg_dir = segment_dir(run, name);
+        let mut catalog = SegmentCatalog::open_and_sweep(&seg_dir)
+            .or_exit(&format!("{name}: reopen catalog for retention"));
+        let before = catalog.len();
+        let archive = seg_dir.join("archive");
+        let policy = RetentionPolicy {
+            max_total_bytes: Some(cap),
+            max_age_micros: None,
+            archive_dir: Some(archive.clone()),
+        };
+        let retired =
+            nfstrace_store::compact::apply_retention(&mut catalog, &policy, &run.registry)
+                .or_exit(&format!("{name}: retention"));
+        eprintln!(
+            "  retention: {name} archived {} of {before} segments under the {cap}-byte budget",
+            retired.len()
+        );
+        let archived = if archive.is_dir() {
+            SegmentCatalog::open(&archive)
+                .or_exit(&format!("{name}: open archive"))
+                .paths()
+        } else {
+            Vec::new()
+        };
+        let readers = archived
+            .iter()
+            .chain(&catalog.paths())
+            .map(|path| {
+                Arc::new(StoreReader::open(path).or_exit("reopen segment for the retention union"))
+            })
+            .collect();
+        StoreIndex::from_readers(readers).or_exit(&format!("{name}: index the retention union"))
+    });
+    assert_eq!(
+        suite_text(&union[0], &union[1]),
+        text,
+        "archived + retained union must re-print the suite byte for byte"
+    );
+    eprintln!("  retention: archived + retained union is byte-identical to the suite");
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
-    let mut compact: Option<usize> = None;
-    let mut retain: Option<u64> = None;
-    let mut metrics: Option<std::path::PathBuf> = None;
-    let mut metrics_interval = Duration::from_secs(10);
-    let usage = || -> ! {
-        eprintln!(
-            "usage: live [--dir <dir>] [--shards <n>] [--compact <fan_in>] [--retain <bytes>] \
-             [--metrics <path>] [--metrics-interval <secs>]"
-        );
-        std::process::exit(2);
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--dir" => {
-                dir = Some(args.next().unwrap_or_else(|| usage()).into());
-            }
-            "--shards" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if n == 0 {
-                    usage();
-                }
-                shards = Some(n);
-            }
-            "--compact" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if n < 2 {
-                    usage();
-                }
-                compact = Some(n);
-            }
-            "--retain" => {
-                retain = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--metrics" => {
-                metrics = Some(args.next().unwrap_or_else(|| usage()).into());
-            }
-            "--metrics-interval" => {
-                let secs: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                metrics_interval = Duration::from_secs(secs.max(1));
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-    if retain.is_some() && shards.is_some() {
-        eprintln!("--retain applies to the single-writer segment catalogs only");
-        usage();
-    }
-    let cleanup = dir.is_none();
-    let dir = dir.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("nfstrace-live-bin-{}", std::process::id()))
-    });
-    let s = scale();
-    let threads = nfstrace_core::parallel::threads();
-
-    // One registry for the whole pipeline; the exporter thread renders
-    // it to the JSONL/Prometheus files while the ingest runs.
-    let registry = Registry::new();
-    let exporter = metrics.as_ref().map(|path| {
-        let mut prom = path.clone().into_os_string();
-        prom.push(".prom");
-        Exporter::spawn(
-            registry.clone(),
-            ExporterConfig {
-                interval: metrics_interval,
-                jsonl_path: Some(path.clone()),
-                prometheus_path: Some(prom.into()),
-                stderr: false,
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot start metrics exporter at {}: {e}", path.display());
-            std::process::exit(1);
-        })
-    });
-
-    // The batch oracle: the same 8-day traces streamed into single
-    // store files (the `repro --store` path).
-    eprintln!("generating the batch-path store pair at scale {s} ...");
-    let batch_dir = dir.join("batch");
-    let (campus_b, eecs_b) = scenarios::eight_day_store_pair(s, &batch_dir, StoreConfig::default())
-        .unwrap_or_else(|e| {
-            eprintln!("batch store pipeline failed: {e}");
-            std::process::exit(1);
-        });
+    let run = Run::start(Bin::Live);
+    let oracle = run.batch_oracle();
 
     // The live path: time-sliced generation → rotating segment ingest,
     // with a consistency check mid-ingest.
-    let campus_dir = dir.join("campus-segments");
-    let eecs_dir = dir.join("eecs-segments");
-    let live_text = if let Some(shards) = shards {
+    let text = if let Some(shards) = run.args.shards {
         eprintln!(
             "sharded-live-ingesting the same traces ({SLICE_MICROS}us slices, daily rotation, \
              {shards} shards) ..."
         );
-        let (campus_i, campus_gen_peak) = ingest_sharded_with_midpoint_check(
-            "CAMPUS",
-            SlicedWorkload::campus(
-                scenarios::campus_config(8, s, scenarios::CAMPUS_SEED),
-                SLICE_MICROS,
-                threads,
-            ),
-            &campus_dir,
-            &campus_b,
-            4 * DAY,
-            shards,
-            &registry,
-            compact,
-        );
-        let (eecs_i, eecs_gen_peak) = ingest_sharded_with_midpoint_check(
-            "EECS",
-            SlicedWorkload::eecs(
-                scenarios::eecs_config(8, s, scenarios::EECS_SEED),
-                SLICE_MICROS,
-                threads,
-            ),
-            &eecs_dir,
-            &eecs_b,
-            4 * DAY,
-            shards,
-            &registry,
-            compact,
-        );
-        eprintln!(
-            "  segments: CAMPUS {} ({} records), EECS {} ({} records)",
-            campus_i.sealed_segments(),
-            campus_i.total_records(),
-            eecs_i.sealed_segments(),
-            eecs_i.total_records(),
-        );
+        let daemons = ingest_both(&run, &oracle, |config| {
+            ShardedLiveIngest::create(config, shards)
+        });
         // The suite runs over the *merged mid-ingest views* — sealed
         // segments plus every shard's hot tail, k-way merged on arrival
         // sequence.
         eprintln!("running the suite over the merged shard views ...");
-        let live_text = suite_text(&campus_i.view(), &eecs_i.view());
-
-        // The bounded-memory observables, per shard.
-        let total = campus_i.total_records() + eecs_i.total_records();
-        let hot_peaks = |i: &ShardedLiveIngest| -> Vec<usize> {
-            i.shards().iter().map(|s| s.peak_hot_records()).collect()
-        };
-        let sum_peaks: usize = hot_peaks(&campus_i)
-            .iter()
-            .sum::<usize>()
-            .max(hot_peaks(&eecs_i).iter().sum());
-        eprintln!(
-            "live-memory-sharded: shards={shards} total_records={total} \
-             campus_per_shard_peak_hot={:?} eecs_per_shard_peak_hot={:?} \
-             peak_slice_records={} gen_peak_resident_records={} peak_rss_kb={} cpus={}",
-            hot_peaks(&campus_i),
-            hot_peaks(&eecs_i),
-            campus_i
-                .peak_batch_records()
-                .max(eecs_i.peak_batch_records()),
-            campus_gen_peak.max(eecs_gen_peak),
-            peak_rss_kb().unwrap_or(0),
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        );
-        let peak_resident = sum_peaks + campus_gen_peak.max(eecs_gen_peak);
-        assert!(
-            (peak_resident as u64) < total.max(1),
-            "peak resident records ({peak_resident}) must stay below the trace size ({total})"
-        );
-        campus_i
-            .finish()
-            .unwrap_or_else(|e| panic!("CAMPUS: finish: {e}"));
-        eecs_i
-            .finish()
-            .unwrap_or_else(|e| panic!("EECS: finish: {e}"));
-        live_text
+        let text = suite_text(&daemons[0].1.view(), &daemons[1].1.view());
+        for (name, daemon) in daemons {
+            daemon.finish().or_exit(&format!("{name}: finish"));
+        }
+        text
     } else {
         eprintln!("live-ingesting the same traces ({SLICE_MICROS}us slices, daily rotation) ...");
-        let (campus_sum, campus_gen_peak) = ingest_with_midpoint_check(
-            "CAMPUS",
-            SlicedWorkload::campus(
-                scenarios::campus_config(8, s, scenarios::CAMPUS_SEED),
-                SLICE_MICROS,
-                threads,
-            ),
-            &campus_dir,
-            &campus_b,
-            4 * DAY,
-            &registry,
-            compact,
-        );
-        let (eecs_sum, eecs_gen_peak) = ingest_with_midpoint_check(
-            "EECS",
-            SlicedWorkload::eecs(
-                scenarios::eecs_config(8, s, scenarios::EECS_SEED),
-                SLICE_MICROS,
-                threads,
-            ),
-            &eecs_dir,
-            &eecs_b,
-            4 * DAY,
-            &registry,
-            compact,
-        );
-
-        // Merged segment indices must print the exact batch suite.
-        eprintln!(
-            "  segments: CAMPUS {} ({} records), EECS {} ({} records)",
-            campus_sum.segments,
-            campus_sum.total_records,
-            eecs_sum.segments,
-            eecs_sum.total_records
-        );
-        let campus_l =
-            StoreIndex::open_dir_with_registry(&campus_dir, &registry).unwrap_or_else(|e| {
-                eprintln!("open campus segments: {e}");
-                std::process::exit(1);
-            });
-        let eecs_l = StoreIndex::open_dir_with_registry(&eecs_dir, &registry).unwrap_or_else(|e| {
-            eprintln!("open eecs segments: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("running the suite over the live segments ...");
-        let live_text = suite_text(&campus_l, &eecs_l);
-
-        // The bounded-memory observables (stderr, machine-greppable).
-        let total = campus_sum.total_records + eecs_sum.total_records;
-        let peak_resident = campus_sum.peak_hot_records.max(eecs_sum.peak_hot_records)
-            + campus_gen_peak.max(eecs_gen_peak);
-        eprintln!(
-            "live-memory: total_records={total} peak_hot_records={} peak_slice_records={} \
-             gen_peak_resident_records={} peak_rss_kb={} cpus={}",
-            campus_sum.peak_hot_records.max(eecs_sum.peak_hot_records),
-            campus_sum
-                .peak_batch_records
-                .max(eecs_sum.peak_batch_records),
-            campus_gen_peak.max(eecs_gen_peak),
-            peak_rss_kb().unwrap_or(0),
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        );
-        assert!(
-            (peak_resident as u64) < total.max(1),
-            "peak resident records ({peak_resident}) must stay below the trace size ({total})"
-        );
-
-        if compact.is_some() {
-            // Compaction really ran: the catalog holds generation-tagged
-            // merges and the daemon counted them.
-            let catalog = SegmentCatalog::open(&campus_dir).unwrap_or_else(|e| {
-                eprintln!("reopen campus catalog: {e}");
-                std::process::exit(1);
-            });
-            let max_gen = catalog
-                .ids()
-                .iter()
-                .map(|id| id.generation)
-                .max()
-                .unwrap_or(0);
-            assert!(
-                max_gen > 0,
-                "forced compaction left only generation-0 segments"
-            );
-            let compactions = registry.counter("store.compactions").value();
-            assert!(compactions > 0, "store.compactions never fired");
-
-            // The planner acceptance: a one-day window over the 8-day
-            // catalog must dismiss whole segments by footer time range
-            // and decode strictly fewer chunks than a full scan.
-            let decoded = registry.counter("store.chunks_decoded");
-            let pruned = registry.counter("store.segments_pruned");
-            let d0 = decoded.value();
-            let full = campus_l.time_window(0, u64::MAX);
-            let full_decodes = decoded.value() - d0;
-            let p0 = pruned.value();
-            let d1 = decoded.value();
-            let day = campus_l.time_window(2 * DAY, 3 * DAY);
-            let window_decodes = decoded.value() - d1;
-            let window_pruned = pruned.value() - p0;
-            assert!(
-                window_pruned > 0,
-                "a one-day window must prune whole segments by footer time range"
-            );
-            assert!(
-                window_decodes < full_decodes,
-                "windowed query decoded {window_decodes} chunks, full scan {full_decodes}"
-            );
-            assert_eq!(
-                TraceView::len(&day),
-                TraceView::len(&campus_b.time_window(2 * DAY, 3 * DAY)),
-                "pruned windowed query must match the batch oracle"
-            );
-            drop(full);
-            eprintln!(
-                "  compaction: campus catalog {} segments (max generation {max_gen}), \
-                 {compactions} compactions; day window decoded {window_decodes}/{full_decodes} \
-                 chunks, pruned {window_pruned} segments",
-                catalog.len(),
-            );
-        }
-
-        // Retention: archive the oldest segments down to the byte
-        // budget, then prove nothing was lost — the archived ∪ retained
-        // union must re-print the exact suite bytes.
-        if let Some(cap) = retain {
-            let open_reader = |path: &Path| -> Arc<StoreReader> {
-                Arc::new(StoreReader::open(path).unwrap_or_else(|e| {
-                    eprintln!("reopen segment for the retention union: {e}");
-                    std::process::exit(1);
-                }))
-            };
-            let mut union_pair = Vec::new();
-            for (name, seg_dir) in [("CAMPUS", &campus_dir), ("EECS", &eecs_dir)] {
-                let mut catalog = SegmentCatalog::open_and_sweep(seg_dir).unwrap_or_else(|e| {
-                    eprintln!("{name}: reopen catalog for retention: {e}");
-                    std::process::exit(1);
-                });
-                let before = catalog.len();
-                let archive = seg_dir.join("archive");
-                let policy = RetentionPolicy {
-                    max_total_bytes: Some(cap),
-                    max_age_micros: None,
-                    archive_dir: Some(archive.clone()),
-                };
-                let retired =
-                    nfstrace_store::compact::apply_retention(&mut catalog, &policy, &registry)
-                        .unwrap_or_else(|e| {
-                            eprintln!("{name}: retention: {e}");
-                            std::process::exit(1);
-                        });
+        let [campus, eecs] =
+            ingest_both(&run, &oracle, LiveIngest::create).map(|(name, daemon)| {
+                let summary = daemon.finish().or_exit(&format!("{name}: finish"));
                 eprintln!(
-                    "  retention: {name} archived {} of {before} segments under the {cap}-byte budget",
-                    retired.len()
+                    "  {name}: {} segments ({} records)",
+                    summary.segments, summary.total_records
                 );
-                let mut readers: Vec<Arc<StoreReader>> = Vec::new();
-                if archive.is_dir() {
-                    let archived = SegmentCatalog::open(&archive).unwrap_or_else(|e| {
-                        eprintln!("{name}: open archive: {e}");
-                        std::process::exit(1);
-                    });
-                    readers.extend(archived.paths().iter().map(|p| open_reader(p)));
-                }
-                readers.extend(catalog.paths().iter().map(|p| open_reader(p)));
-                union_pair.push(StoreIndex::from_readers(readers).unwrap_or_else(|e| {
-                    eprintln!("{name}: index the retention union: {e}");
-                    std::process::exit(1);
-                }));
-            }
-            let union_text = suite_text(&union_pair[0], &union_pair[1]);
-            assert_eq!(
-                union_text, live_text,
-                "archived + retained union must re-print the suite byte for byte"
-            );
-            eprintln!("  retention: archived + retained union is byte-identical to the suite");
+                StoreIndex::open_dir_with_registry(segment_dir(&run, name), &run.registry)
+                    .or_exit(&format!("{name}: open segments"))
+            });
+        eprintln!("running the suite over the live segments ...");
+        let text = suite_text(&campus, &eecs);
+        if run.args.compact.is_some() {
+            check_compaction(&run, &campus, &oracle.0);
         }
-        live_text
+        if let Some(cap) = run.args.retain {
+            check_retention(&run, cap, &text);
+        }
+        text
     };
-
-    eprintln!("running the suite over the batch stores ...");
-    let batch_text = suite_text(&campus_b, &eecs_b);
-    assert_eq!(
-        live_text, batch_text,
-        "live-ingested segments must reproduce the batch suite byte for byte"
-    );
-
-    // Final export + stderr summary before the suite hits stdout; the
-    // suite bytes themselves carry no telemetry either way.
-    if let Some(exporter) = exporter {
-        match exporter.stop() {
-            Ok(snapshot) => dump_metrics(&snapshot),
-            Err(e) => {
-                eprintln!("metrics exporter failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // Stdout: the suite, byte-identical to `repro --store`.
-    print!("{live_text}");
-    if cleanup {
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    run.finish(&text, &oracle);
 }

@@ -23,30 +23,13 @@
 //! stdout is **byte-identical** to the in-memory run — CI asserts
 //! exactly that.
 
+use nfstrace_bench::pipeline::{self, Bin};
 use nfstrace_bench::suite::suite_text;
 use nfstrace_bench::{scale, scenarios, tables};
 use nfstrace_core::time::DAY;
-use nfstrace_store::StoreConfig;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut store_dir: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--store" => {
-                let dir = args.next().unwrap_or_else(|| {
-                    eprintln!("usage: repro [--store <dir>]");
-                    std::process::exit(2);
-                });
-                store_dir = Some(dir.into());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; usage: repro [--store <dir>]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let store_dir = pipeline::args(Bin::Repro).store;
     let s = scale();
     match store_dir {
         None => {
@@ -59,11 +42,7 @@ fn main() {
                 "generating 8-day traces at scale {s} into store {} ...",
                 dir.display()
             );
-            let (campus8, eecs8) = scenarios::eight_day_store_pair(s, &dir, StoreConfig::default())
-                .unwrap_or_else(|e| {
-                    eprintln!("store pipeline failed: {e}");
-                    std::process::exit(1);
-                });
+            let (campus8, eecs8) = pipeline::store_pair(s, &dir);
             eprintln!(
                 "  store chunks: CAMPUS {}, EECS {}",
                 campus8.reader().chunk_count(),

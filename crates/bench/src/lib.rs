@@ -22,6 +22,7 @@
 // flag clones of values whose last use this was.
 #![warn(clippy::redundant_clone)]
 
+pub mod pipeline;
 pub mod scenarios;
 pub mod suite;
 pub mod tables;
@@ -29,9 +30,15 @@ pub mod tables;
 /// Reads the scale factor from `NFSTRACE_SCALE` (default 1.0, clamped
 /// to a sane range).
 pub fn scale() -> f64 {
-    std::env::var("NFSTRACE_SCALE")
-        .ok()
+    scale_from(std::env::var("NFSTRACE_SCALE").ok().as_deref())
+}
+
+/// [`scale`] for a given `NFSTRACE_SCALE` value: unset, unparseable
+/// and non-finite (`nan`, `inf`) all mean 1.0; the rest is clamped.
+fn scale_from(value: Option<&str>) -> f64 {
+    value
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|s| s.is_finite())
         .unwrap_or(1.0)
         .clamp(0.05, 50.0)
 }
@@ -53,6 +60,23 @@ mod tests {
         if std::env::var("NFSTRACE_SCALE").is_err() {
             assert_eq!(super::scale(), 1.0);
         }
+    }
+
+    #[test]
+    fn scale_ignores_garbage_and_non_finite_values() {
+        for unset in [
+            None,
+            Some("abc"),
+            Some("nan"),
+            Some("NaN"),
+            Some("inf"),
+            Some("-inf"),
+        ] {
+            assert_eq!(super::scale_from(unset), 1.0, "{unset:?}");
+        }
+        assert_eq!(super::scale_from(Some("0.2")), 0.2);
+        assert_eq!(super::scale_from(Some("-5")), 0.05);
+        assert_eq!(super::scale_from(Some("1e9")), 50.0);
     }
 
     #[test]

@@ -12,6 +12,11 @@ pub const CAMPUS_BASE_USERS: usize = 40;
 /// Base EECS population at scale 1.0.
 pub const EECS_BASE_USERS: usize = 24;
 
+/// The canonical seeds of the suite's two systems (CAMPUS, EECS).
+pub const CAMPUS_SEED: u64 = 42;
+/// See [`CAMPUS_SEED`].
+pub const EECS_SEED: u64 = 1789;
+
 /// The canonical analysis week: Sunday through Saturday (the paper used
 /// 10/21–10/27/2001), expressed in simulation days.
 pub const WEEK_DAYS: u64 = 7;
@@ -28,7 +33,10 @@ pub fn eecs(days: u64, scale: f64, seed: u64) -> Vec<TraceRecord> {
 
 /// A full analysis week for both systems.
 pub fn week_pair(scale: f64) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
-    (campus(WEEK_DAYS, scale, 42), eecs(WEEK_DAYS, scale, 1789))
+    (
+        campus(WEEK_DAYS, scale, CAMPUS_SEED),
+        eecs(WEEK_DAYS, scale, EECS_SEED),
+    )
 }
 
 /// Week-long traces for both systems, indexed for analysis.
@@ -43,8 +51,8 @@ pub fn week_index_pair(scale: f64) -> (TraceIndex, TraceIndex) {
 /// — so `repro` generates each system exactly once.
 pub fn eight_day_index_pair(scale: f64) -> (TraceIndex, TraceIndex) {
     (
-        TraceIndex::new(campus(8, scale, 42)),
-        TraceIndex::new(eecs(8, scale, 1789)),
+        TraceIndex::new(campus(8, scale, CAMPUS_SEED)),
+        TraceIndex::new(eecs(8, scale, EECS_SEED)),
     )
 }
 
@@ -70,11 +78,6 @@ pub fn eecs_config(days: u64, scale: f64, seed: u64) -> EecsConfig {
     }
 }
 
-/// The canonical seeds of the suite's two systems (CAMPUS, EECS).
-pub const CAMPUS_SEED: u64 = 42;
-/// See [`CAMPUS_SEED`].
-pub const EECS_SEED: u64 = 1789;
-
 /// The out-of-core twin of [`eight_day_index_pair`]: generates the same
 /// eight-day traces (same seeds, bit-identical record streams) directly
 /// into chunked store files under `dir` — the merged record vectors are
@@ -94,12 +97,12 @@ pub fn eight_day_store_pair(
 
     let campus_path = dir.join("campus.nfstore");
     let mut w = StoreWriter::create(&campus_path, config)?;
-    CampusWorkload::new(campus_config(8, scale, 42)).generate_into(threads, &mut w)?;
+    CampusWorkload::new(campus_config(8, scale, CAMPUS_SEED)).generate_into(threads, &mut w)?;
     w.finish()?;
 
     let eecs_path = dir.join("eecs.nfstore");
     let mut w = StoreWriter::create(&eecs_path, config)?;
-    EecsWorkload::new(eecs_config(8, scale, 1789)).generate_into(threads, &mut w)?;
+    EecsWorkload::new(eecs_config(8, scale, EECS_SEED)).generate_into(threads, &mut w)?;
     w.finish()?;
 
     Ok((

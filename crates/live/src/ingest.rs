@@ -149,8 +149,8 @@ pub struct LiveSummary {
 /// hourly buckets, per-file access lists) — the same state any index
 /// over the same records holds — but never raw records. Peak observed
 /// numbers are reported via [`LiveIngest::peak_hot_records`] and
-/// [`LiveSummary`], and the `live` bench records them in
-/// `BENCH_pipeline.json`.
+/// [`LiveSummary`]; the repository benchmark (`BENCHMARK.json`,
+/// `perfbench/README.md`) tracks them as `live.peak_hot_records`.
 ///
 /// # Snapshot cost
 ///

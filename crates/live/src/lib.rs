@@ -44,8 +44,10 @@
 //! Peak resident record memory across the whole pipeline is
 //! `O(slice) + O(rotation threshold)` — one source batch, plus the hot
 //! tail, plus a decoded chunk or two during replays — never
-//! `O(trace)`. The `live` bench bin asserts this shape and records the
-//! observed peaks in `BENCH_pipeline.json`.
+//! `O(trace)`. The `live` bench bin asserts this shape and reports the
+//! observed peaks on stderr; the repository benchmark's
+//! `ingest-sharded` workload (`BENCHMARK.json`, `perfbench/README.md`)
+//! tracks `live.peak_hot_records` per run.
 //!
 //! # Example: ingest a workload live, query it mid-stream
 //!

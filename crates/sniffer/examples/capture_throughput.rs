@@ -1,12 +1,14 @@
 //! Ad-hoc capture throughput measurement: a synthetic multi-client TCP
 //! capture replayed through the sniffer, reporting records/s and MB/s.
 //!
-//! This is the harness behind the hand-recorded numbers in
-//! `BENCH_pipeline.json`'s history notes — it intentionally uses only
-//! the long-stable public API (`Sniffer::observe`/`finish`) so the same
-//! file builds against older revisions for before/after comparisons.
-//! The regression-tracked measurement lives in
-//! `cargo bench --bench pipeline`.
+//! This is the harness behind the zero-copy capture before/after
+//! numbers in the README's performance history — it intentionally uses
+//! only the long-stable public API (`Sniffer::observe`/`finish`) so the
+//! same file builds against older revisions for before/after
+//! comparisons. The criterion variant lives in `cargo bench --bench
+//! pipeline` (`capture` group); the gated end-to-end capture path is
+//! the repository benchmark's serve workloads (`BENCHMARK.json`,
+//! `perfbench/README.md`).
 
 use std::time::Instant;
 
